@@ -19,14 +19,10 @@ from .discharge import (
 )
 from .grid import (
     Point,
-    adjacent,
     chebyshev,
     closed_neighborhood,
     common_neighbors,
-    k_neighborhood,
     neighbors,
-    opposite_sqrt2,
-    sqrt2_neighbors,
 )
 from .lemmas import (
     LemmaVerdict,
@@ -54,11 +50,10 @@ from .pattern import (
     window_count,
     window_density,
 )
-from .render import render_ascii, render_svg
+from .render import render_svg
 from .search import (
     SearchConfig,
     SearchResult,
-    brute_force_oracle,
     minimum_lpds,
 )
 from .verify import (
@@ -78,13 +73,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Point",
-    "adjacent",
     "chebyshev",
     "neighbors",
     "closed_neighborhood",
-    "k_neighborhood",
-    "sqrt2_neighbors",
-    "opposite_sqrt2",
     "common_neighbors",
     "LatticeBasis",
     "PeriodicPattern",
@@ -130,7 +121,5 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "minimum_lpds",
-    "brute_force_oracle",
-    "render_ascii",
     "render_svg",
 ]

@@ -29,7 +29,7 @@ from .pattern import (
     truncate,
     window_density,
 )
-from .render import render_ascii, render_svg
+from .render import render_svg
 from .search import SearchConfig, minimum_lpds
 from .verify import verify_lpds, verify_window
 
@@ -108,20 +108,24 @@ def _cmd_verify(args) -> int:
     if isinstance(obj, PeriodicPattern):
         report = verify_lpds(obj)
     else:
-        report = verify_window(obj)
+        try:
+            report = verify_window(obj)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
     for line in report.lines():
         print(line)
     return 0 if report.valid else 1
 
 
 def _cmd_density(args) -> int:
+    if args.k is not None and args.k < 0:
+        raise CliError("k must be >= 0")
     obj = _load_source(args.source, args.x, args.bounds)
     print(f"density {_frac(obj.density)}")
     if args.k is not None:
-        if isinstance(obj, PeriodicPattern):
-            wd = window_density(obj, (0, 0), args.k)
-        else:
-            cx, cy = (obj.x0 + obj.x1) // 2, (obj.y0 + obj.y1) // 2
+        center = (0, 0)
+        if isinstance(obj, FiniteWindow):
+            center = cx, cy = (obj.x0 + obj.x1) // 2, (obj.y0 + obj.y1) // 2
             if (
                 cx - args.k < obj.x0
                 or cx + args.k > obj.x1
@@ -131,13 +135,7 @@ def _cmd_density(args) -> int:
                 raise CliError(
                     f"k={args.k} neighborhood of ({cx},{cy}) exceeds the window"
                 )
-            hits = sum(
-                1
-                for x in range(cx - args.k, cx + args.k + 1)
-                for y in range(cy - args.k, cy + args.k + 1)
-                if obj.contains((x, y))
-            )
-            wd = Fraction(hits, (2 * args.k + 1) ** 2)
+        wd = window_density(obj, center, args.k)
         print(f"window k={args.k} density={_frac(wd)}")
     return 0
 
@@ -265,7 +263,7 @@ def _cmd_render(args) -> int:
                             bounds[0] <= p[0] <= bounds[1] and bounds[2] <= p[1] <= bounds[3])
             window = FiniteWindow(*bounds, pts)
     if args.format == "ascii":
-        print(render_ascii(window))
+        print(serialize_window(window))
     else:
         print(render_svg(window, pairs))
     return 0

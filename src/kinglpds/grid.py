@@ -1,9 +1,13 @@
-"""King-grid geometry.
+"""King-grid geometry and the one encoding of the LPDS constraints.
 
 Vertices are integer points; two vertices are adjacent exactly when their
 Euclidean distance is at most sqrt(2), i.e. when their Chebyshev distance is 1.
 Graph distance on this grid coincides with Chebyshev distance, so the distance-k
 ball is the (2k+1) x (2k+1) square.
+
+Domination and locating are written once, as offsets from a cell named by
+their slot in the 7x7 block ``BLOCK``.  Every checker evaluates these slots; a
+domain only says where ``cell + BLOCK[k]`` lands.
 """
 
 from __future__ import annotations
@@ -13,16 +17,11 @@ Point = tuple[int, int]
 _NEIGHBOR_STEPS: tuple[Point, ...] = (
     (-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1),
 )
-_DIAGONAL_STEPS: tuple[Point, ...] = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def chebyshev(p: Point, q: Point) -> int:
     """Chebyshev distance; equals the graph distance on the king grid."""
     return max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-
-
-def adjacent(p: Point, q: Point) -> bool:
-    return chebyshev(p, q) == 1
 
 
 def neighbors(p: Point) -> set[Point]:
@@ -37,30 +36,39 @@ def closed_neighborhood(p: Point) -> set[Point]:
     return out
 
 
-def k_neighborhood(p: Point, k: int) -> set[Point]:
-    """All vertices at graph distance <= k: a square with (2k+1)^2 points."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    x, y = p
-    return {(x + dx, y + dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1)}
-
-
-def sqrt2_neighbors(p: Point) -> set[Point]:
-    """The 4 diagonal neighbors of p (Euclidean distance sqrt(2))."""
-    x, y = p
-    return {(x + dx, y + dy) for dx, dy in _DIAGONAL_STEPS}
-
-
-def opposite_sqrt2(p: Point, q: Point) -> Point:
-    """The diagonal neighbor of p opposite to q.
-
-    q must be a diagonal neighbor of p; the result is the unique diagonal
-    neighbor of p at Euclidean distance 2*sqrt(2) from q.
-    """
-    if q not in sqrt2_neighbors(p):
-        raise ValueError(f"{q} is not a diagonal neighbor of {p}")
-    return (2 * p[0] - q[0], 2 * p[1] - q[1])
-
-
 def common_neighbors(p: Point, q: Point) -> set[Point]:
     return neighbors(p) & neighbors(q)
+
+
+# ---------------------------------------------------------------------------
+# constraint template
+# ---------------------------------------------------------------------------
+
+# offsets within distance 3, row-major (by dy, then dx)
+BLOCK: tuple[Point, ...] = tuple((dx, dy) for dy in range(-3, 4) for dx in range(-3, 4))
+
+
+def _slots(offsets) -> tuple[int, ...]:
+    return tuple(sorted(BLOCK.index(d) for d in offsets))
+
+
+OPEN = _slots(_NEIGHBOR_STEPS)  # the cells whose members a vertex sees
+CLOSED = _slots(closed_neighborhood((0, 0)))  # a member here dominates the cell
+
+# Non-members u and u + d see the same members exactly when no member lies in
+# N(0) xor N(d), shifted by u.  Equal nonempty member sets share a member, so
+# d is within distance 2; the 12 such d after the cell in row-major order (by
+# y, then x) reach every pair once.
+SEPARATORS: tuple[tuple[int, tuple[int, ...]], ...] = tuple(
+    (BLOCK.index(d), _slots(neighbors((0, 0)) ^ neighbors(d)))
+    for d in BLOCK
+    if 0 < chebyshev((0, 0), d) <= 2 and (d[1], d[0]) > (0, 0)
+)
+
+
+def mask(land, slots) -> int:
+    """Bitmask of the cells where ``slots`` land; ``land[k]`` is a cell index."""
+    out = 0
+    for k in slots:
+        out |= 1 << land[k]
+    return out

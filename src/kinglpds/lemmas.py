@@ -30,10 +30,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-import networkx as nx
-
-from .grid import Point, chebyshev, closed_neighborhood, common_neighbors, neighbors
-from .pattern import FiniteWindow
+from .grid import (
+    BLOCK,
+    CLOSED,
+    SEPARATORS,
+    Point,
+    closed_neighborhood,
+    common_neighbors,
+    mask,
+    neighbors,
+)
+from .pattern import FiniteWindow, serialize_window
+from .verify import saturates
 
 HALF = Fraction(1, 2)
 
@@ -124,26 +132,19 @@ class _WindowSearch:
     # -- certificate locks ---------------------------------------------------
 
     def _build_locks(self) -> None:
-        full_open = [
-            i for i, p in enumerate(self.cells) if len(self.nbr_idx[i]) == 8
-        ]
+        inner = self.radius - 1
         locks: list[int] = []
-        for a_pos, i in enumerate(full_open):
-            u = self.cells[i]
-            nu = set(neighbors(u))
-            for j in full_open[a_pos + 1:]:
-                w = self.cells[j]
-                if chebyshev(u, w) > 2:
-                    continue
-                dep = (1 << i) | (1 << j)
-                for p in nu.symmetric_difference(neighbors(w)):
-                    dep |= 1 << self.index[p]
-                locks.append(dep)
-        for i in full_open:
-            dep = 0
-            for p in closed_neighborhood(self.cells[i]):
-                dep |= 1 << self.index[p]
-            locks.append(dep)
+        for p in self.cells:
+            if max(abs(p[0]), abs(p[1])) > inner:
+                continue
+            # offsets beyond the window land on None, which no closed
+            # neighborhood of, or separator between, interior cells reaches
+            land = [self.index.get((p[0] + dx, p[1] + dy)) for dx, dy in BLOCK]
+            locks.append(mask(land, CLOSED))
+            for k, sep in SEPARATORS:
+                w = (p[0] + BLOCK[k][0], p[1] + BLOCK[k][1])
+                if max(abs(w[0]), abs(w[1])) <= inner:
+                    locks.append(1 << self.index[p] | 1 << land[k] | mask(land, sep))
         self.locks = locks
         self.locks_by_cell: list[list[int]] = [[] for _ in self.cells]
         for dep in locks:
@@ -174,27 +175,13 @@ class _WindowSearch:
         member partner here and now; others could pair with the unknown
         exterior.  Forced pairs are honored verbatim.
         """
-        members = [self.cells[i] for i in range(len(self.cells)) if self.is_in(i)]
         prepaired = {p for pair in self.forced_pairs for p in pair}
-        inner = self.radius - 1
-        required = [
-            p
-            for p in members
-            if max(abs(p[0]), abs(p[1])) <= inner and p not in prepaired
+        free = [
+            p for i, p in enumerate(self.cells) if self.is_in(i) and p not in prepaired
         ]
-        if not required:
-            return True
-        g = nx.Graph()
-        free = [p for p in members if p not in prepaired]
-        g.add_nodes_from(free)
-        req = set(required)
-        for a_pos, p in enumerate(free):
-            for q in free[a_pos + 1:]:
-                if chebyshev(p, q) == 1:
-                    g.add_edge(p, q, weight=(p in req) + (q in req))
-        mates = nx.max_weight_matching(g)
-        saturated = {v for e in mates for v in e}
-        return all(p in saturated for p in required)
+        inner = self.radius - 1
+        required = {p for p in free if max(abs(p[0]), abs(p[1])) <= inner}
+        return not required or saturates(free, required)
 
     def _leaf(self, fails: Callable) -> None:
         if not fails(self):
@@ -371,17 +358,11 @@ def check_lemma1(part: int, node_budget: int | None = None) -> LemmaVerdict:
                 verdict,
                 total,
                 1000 * (time.perf_counter() - start),
-                witness=None if witness is None else _render_witness(witness),
+                witness=None if witness is None else serialize_window(witness),
             )
     return LemmaVerdict(
         f"lemma1.{part}", "holds", total, 1000 * (time.perf_counter() - start)
     )
-
-
-def _render_witness(w: FiniteWindow) -> str:
-    from .pattern import serialize_window
-
-    return serialize_window(w)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +552,7 @@ def check_adjacent_sum(node_budget: int | None = None) -> LemmaVerdict:
                         verdict,
                         total,
                         1000 * (time.perf_counter() - start),
-                        witness=None if witness is None else _render_witness(witness),
+                        witness=None if witness is None else serialize_window(witness),
                     )
     return LemmaVerdict(
         "adjacent-sum", "holds", total, 1000 * (time.perf_counter() - start)

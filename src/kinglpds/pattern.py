@@ -17,9 +17,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
-from .grid import Point
+from .grid import BLOCK, Point
 
 
 class PatternFormatError(ValueError):
@@ -104,11 +104,6 @@ class LatticeBasis:
         k = y // c
         return ((x - k * b) % a, y - k * c)
 
-    def contains_vector(self, w: Point) -> bool:
-        a, b, c = self.hermite
-        x, y = w
-        return y % c == 0 and (x - (y // c) * b) % a == 0
-
     def domain_cells(self) -> list[Point]:
         """All canonical representatives, row-major (by y, then x)."""
         a, _, c = self.hermite
@@ -117,6 +112,21 @@ class LatticeBasis:
     def canonical(self) -> "LatticeBasis":
         a, b, c = self.hermite
         return LatticeBasis((a, 0), (b, c))
+
+
+@lru_cache(maxsize=8)
+def torus_landing(basis: LatticeBasis) -> tuple[list[Point], tuple[tuple[int, ...], ...]]:
+    """Domain cells of ``basis`` and, per cell, where each ``BLOCK`` offset lands.
+
+    ``land[i][k]`` is the index of the domain cell congruent to
+    ``cells[i] + BLOCK[k]``: 49 entries per domain cell.
+    """
+    cells = basis.domain_cells()
+    index = {c: i for i, c in enumerate(cells)}
+    land = tuple(
+        tuple(index[basis.reduce((x + dx, y + dy))] for dx, dy in BLOCK) for x, y in cells
+    )
+    return cells, land
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +169,8 @@ class PeriodicPattern:
         return sorted(self.base)
 
 
-def window_count(pattern: PeriodicPattern, center: Point, k: int) -> int:
-    """Number of pattern points at graph distance <= k from center."""
+def window_count(pattern: PeriodicPattern | FiniteWindow, center: Point, k: int) -> int:
+    """Number of pattern (or window) points at graph distance <= k from center."""
     if k < 0:
         raise ValueError("k must be >= 0")
     cx, cy = center
@@ -172,7 +182,7 @@ def window_count(pattern: PeriodicPattern, center: Point, k: int) -> int:
     return n
 
 
-def window_density(pattern: PeriodicPattern, center: Point, k: int) -> Fraction:
+def window_density(pattern: PeriodicPattern | FiniteWindow, center: Point, k: int) -> Fraction:
     """Exact fraction of pattern points within the distance-k ball around center."""
     side = 2 * k + 1
     return Fraction(window_count(pattern, center, k), side * side)
@@ -243,9 +253,6 @@ class FiniteWindow:
 
     def contains(self, p: Point) -> bool:
         return p in self.points
-
-    def in_bounds(self, p: Point) -> bool:
-        return self.x0 <= p[0] <= self.x1 and self.y0 <= p[1] <= self.y1
 
     @property
     def width(self) -> int:

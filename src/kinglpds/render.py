@@ -3,11 +3,7 @@
 from __future__ import annotations
 
 from .grid import Point
-from .pattern import FiniteWindow, serialize_window
-
-
-def render_ascii(window: FiniteWindow) -> str:
-    return serialize_window(window)
+from .pattern import FiniteWindow
 
 
 def render_svg(

@@ -8,8 +8,8 @@ and locating checks are exact at their deadlines (separation of a vertex pair
 is translation invariant, so one representative per pair orbit suffices);
 pairing is enforced by a necessary isolation check during search and settled
 by full verification at leaves.  A matching is required at the pattern's own
-period (no lattice refinement), which keeps search and oracle answers
-directly comparable.
+period (no lattice refinement), which keeps search answers directly
+comparable with a brute-force enumeration of subsets.
 
 Odd cardinalities are skipped outright: members are perfectly matched inside
 the fundamental domain, so their count per domain is even.
@@ -17,23 +17,22 @@ the fundamental domain, so their count per domain is even.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import chebyshev, closed_neighborhood, neighbors
+from .grid import CLOSED, OPEN, SEPARATORS, mask
 from .pattern import (
     LatticeBasis,
     PeriodicPattern,
     serialize_pattern,
+    torus_landing,
     translation_canonical,
 )
 from .verify import verify_lpds
 
 MAX_DOMAIN = 64
-MAX_ORACLE_DOMAIN = 16
 
 
 @dataclass(frozen=True)
@@ -72,42 +71,24 @@ class SearchResult:
 # constraint tables
 # ---------------------------------------------------------------------------
 
-_BALL2_POSITIVE = tuple(
-    (dx, dy)
-    for dx in range(-2, 3)
-    for dy in range(-2, 3)
-    if (dx, dy) > (0, 0)
-)
-
-
 @lru_cache(maxsize=64)
 def _tables(basis: LatticeBasis):
-    domain = basis.domain_cells()
-    index = {c: i for i, c in enumerate(domain)}
+    domain, land = torus_landing(basis)
     n = len(domain)
 
-    def red(p) -> int:
-        return index[basis.reduce(p)]
-
     dom_dl: list[list[int]] = [[] for _ in range(n)]
-    for c in domain:
-        mask = 0
-        for p in closed_neighborhood(c):
-            mask |= 1 << red(p)
-        dom_dl[mask.bit_length() - 1].append(mask)
+    for row in land:
+        m = mask(row, CLOSED)
+        dom_dl[m.bit_length() - 1].append(m)
 
     loc_dl: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     seen: set[tuple[int, int]] = set()
-    for u in domain:
-        ui = index[u]
-        for d in _BALL2_POSITIVE:
-            w = (u[0] + d[0], u[1] + d[1])
-            wi = red(w)
+    for ui, row in enumerate(land):
+        for k, sep_slots in SEPARATORS:
+            wi = row[k]
             if wi == ui:
                 continue
-            sep = 0
-            for p in set(neighbors(u)) ^ set(neighbors(w)):
-                sep |= 1 << red(p)
+            sep = mask(row, sep_slots)
             pair_mask = (1 << ui) | (1 << wi)
             if (pair_mask, sep) in seen:
                 continue
@@ -116,18 +97,10 @@ def _tables(basis: LatticeBasis):
             loc_dl[deadline].append((pair_mask, sep))
 
     pair_dl: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for c in domain:
-        ci = index[c]
-        nbr = 0
-        internal = False
-        for p in neighbors(c):
-            pi = red(p)
-            if pi == ci:
-                internal = True
-                break
-            nbr |= 1 << pi
-        if internal:
+    for ci, row in enumerate(land):
+        if any(row[k] == ci for k in OPEN):
             continue
+        nbr = mask(row, OPEN)
         deadline = max(ci, nbr.bit_length() - 1)
         pair_dl[deadline].append((1 << ci, nbr))
 
@@ -299,50 +272,5 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
         None,
         (),
         nodes_total,
-        reason=f"no valid pattern with at most {limit} members per domain",
-    )
-
-
-# ---------------------------------------------------------------------------
-# oracle
-# ---------------------------------------------------------------------------
-
-def brute_force_oracle(
-    basis: LatticeBasis, max_cardinality: int | None = None
-) -> SearchResult:
-    """Reference answer by checking every even-size subset, smallest first.
-
-    Deliberately structure-free so it shares no pruning logic with
-    ``minimum_lpds``; restricted to tiny domains.
-    """
-    cells = basis.cells
-    if cells > MAX_ORACLE_DOMAIN:
-        raise ValueError(
-            f"oracle limited to {MAX_ORACLE_DOMAIN} cells, basis has {cells}"
-        )
-    domain = basis.domain_cells()
-    limit = cells if max_cardinality is None else min(max_cardinality, cells)
-    examined = 0
-    for k in range(2, limit + 1, 2):
-        found: list[tuple] = []
-        for combo in itertools.combinations(domain, k):
-            examined += 1
-            pattern = PeriodicPattern.make(basis, combo)
-            if verify_lpds(pattern, allow_refinement=False).valid:
-                found.append(combo)
-        if found:
-            return SearchResult(
-                "optimumFound",
-                k,
-                Fraction(k, cells),
-                _collect_optima(basis, found),
-                examined,
-            )
-    return SearchResult(
-        "infeasible",
-        None,
-        None,
-        (),
-        examined,
         reason=f"no valid pattern with at most {limit} members per domain",
     )

@@ -25,17 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import networkx as nx
 
 from .grid import (
+    BLOCK,
+    CLOSED,
+    OPEN,
+    SEPARATORS,
     Point,
     chebyshev,
     closed_neighborhood,
     common_neighbors,
     neighbors,
 )
-from .pattern import FiniteWindow, LatticeBasis, PeriodicPattern
+from .pattern import FiniteWindow, LatticeBasis, PeriodicPattern, torus_landing
 
 
 # ---------------------------------------------------------------------------
@@ -96,47 +101,41 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# membership helper
+# domination and locating: evaluations of the grid template
 # ---------------------------------------------------------------------------
+# ``member`` is indexed by cell; ``rows`` yields, for each cell to check, its
+# index and the indices where its BLOCK offsets land; ``checked`` holds the
+# indices of the cells whose neighborhoods may be compared.
 
-class _Members:
-    """Memoized membership oracle over world points for one pattern."""
-
-    def __init__(self, pattern: PeriodicPattern):
-        self._contains = pattern.contains
-        self._cache: dict[Point, bool] = {}
-
-    def __call__(self, p: Point) -> bool:
-        hit = self._cache.get(p)
-        if hit is None:
-            hit = self._cache[p] = self._contains(p)
-        return hit
+def _undominated(member, rows) -> list[int]:
+    return [i for i, land in rows if not any(member[land[k]] for k in CLOSED)]
 
 
-# ---------------------------------------------------------------------------
-# domination
-# ---------------------------------------------------------------------------
+def _collisions(member, rows, checked):
+    """(i, j, k) for each checked non-member pair i, j = land[k] seeing the same members."""
+    for i, land in rows:
+        if member[i]:
+            continue
+        for k, sep in SEPARATORS:
+            j = land[k]
+            if j == i or member[j] or j not in checked:
+                continue
+            if not any(member[land[s]] for s in sep):
+                yield i, j, k
+
+
+def _torus(pattern: PeriodicPattern):
+    cells, land = torus_landing(pattern.basis)
+    return cells, land, [c in pattern.base for c in cells]
+
 
 def check_domination(pattern: PeriodicPattern) -> list[ViolationCertificate]:
     """Certificates for every undominated residue class (empty list = dominating)."""
-    member = _Members(pattern)
-    certs = []
-    for cell in pattern.basis.domain_cells():
-        if not any(member(n) for n in closed_neighborhood(cell)):
-            certs.append(ViolationCertificate("undominated", (cell,)))
-    return certs
-
-
-# ---------------------------------------------------------------------------
-# locating
-# ---------------------------------------------------------------------------
-
-_BALL2_OFFSETS = [
-    (dx, dy)
-    for dx in range(-2, 3)
-    for dy in range(-2, 3)
-    if (dx, dy) != (0, 0)
-]
+    cells, land, member = _torus(pattern)
+    return [
+        ViolationCertificate("undominated", (cells[i],))
+        for i in _undominated(member, enumerate(land))
+    ]
 
 
 def _normalize_pair(basis: LatticeBasis, u: Point, w: Point) -> tuple[Point, Point]:
@@ -153,27 +152,14 @@ def check_locating(pattern: PeriodicPattern) -> list[ViolationCertificate]:
     Requires domination (raises ValueError otherwise): it justifies both the
     distance-2 locality and skipping same-residue pairs.
     """
-    if check_domination(pattern):
+    cells, land, member = _torus(pattern)
+    if _undominated(member, enumerate(land)):
         raise ValueError("requires domination")
-    member = _Members(pattern)
-    basis = pattern.basis
-    seen: set[tuple[Point, Point]] = set()
-    certs = []
-    for u in basis.domain_cells():
-        if member(u):
-            continue
-        nu = {n for n in neighbors(u) if member(n)}
-        for dx, dy in _BALL2_OFFSETS:
-            w = (u[0] + dx, u[1] + dy)
-            if member(w) or basis.reduce(w) == u:
-                continue
-            nw = {n for n in neighbors(w) if member(n)}
-            if nu == nw:
-                key = _normalize_pair(basis, u, w)
-                if key not in seen:
-                    seen.add(key)
-                    certs.append(ViolationCertificate("unlocatable-pair", key))
-    return certs
+    keys: dict[tuple[Point, Point], None] = {}
+    for i, _, k in _collisions(member, enumerate(land), range(len(cells))):
+        (x, y), (dx, dy) = cells[i], BLOCK[k]
+        keys[_normalize_pair(pattern.basis, (x, y), (x + dx, y + dy))] = None
+    return [ViolationCertificate("unlocatable-pair", key) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +365,7 @@ class Classification:
         interval vertex with exactly two; every far-paired member has a pendant
         that is a member or has at least three member neighbors.
         """
-        member = _Members(self.pattern)
+        member = cache(self.pattern.contains)
         tier = lambda u: sum(member(n) for n in neighbors(u))
         problems = []
         for v, info in self.pairs.items():
@@ -398,7 +384,7 @@ class Classification:
 
 
 def classify(pattern: PeriodicPattern, matching: Matching) -> Classification:
-    member = _Members(pattern)
+    member = cache(pattern.contains)
     basis = pattern.basis
 
     interval_residues = set()
@@ -498,8 +484,23 @@ def verify_lpds(pattern: PeriodicPattern, allow_refinement: bool = True) -> Veri
 # finite windows
 # ---------------------------------------------------------------------------
 
-def _window_interior(window: FiniteWindow) -> list[Point]:
-    return window.interior()
+def saturates(members: list[Point], required: set[Point]) -> bool:
+    """Is there a matching among ``members`` (king adjacency) covering ``required``?
+
+    A maximum-weight matching, each edge weighted by its required endpoints,
+    matches as many required members as any matching can.
+    """
+    present = set(members)
+    g = nx.Graph()
+    g.add_nodes_from(members)
+    for p in members:
+        for k in OPEN:
+            dx, dy = BLOCK[k]
+            q = (p[0] + dx, p[1] + dy)
+            if q in present and p < q:
+                g.add_edge(p, q, weight=(p in required) + (q in required))
+    mates = nx.max_weight_matching(g)
+    return required <= {v for e in mates for v in e}
 
 
 def verify_window(window: FiniteWindow) -> VerificationReport:
@@ -515,36 +516,29 @@ def verify_window(window: FiniteWindow) -> VerificationReport:
     """
     if window.width < 5 or window.height < 5:
         raise ValueError("window too small: need at least 5x5")
-    pts = window.points
-    interior = _window_interior(window)
-    interior_set = set(interior)
-    violations: list[ViolationCertificate] = []
+    # cells are indexed row-major over the box padded by 3, so every BLOCK
+    # offset of an interior cell lands inside the array without wrapping
+    width = window.width + 6
+    flat = lambda p: (p[1] - window.y0 + 3) * width + p[0] - window.x0 + 3
+    member = bytearray(width * (window.height + 6))
+    for p in window.points:
+        member[flat(p)] = 1
+    at = {flat(p): p for p in window.interior()}
+    strides = [dy * width + dx for dx, dy in BLOCK]
+    rows = lambda: ((i, [i + s for s in strides]) for i in at)
 
-    for u in interior:
-        if not any(n in pts for n in closed_neighborhood(u)):
-            violations.append(ViolationCertificate("undominated", (u,)))
+    violations = [ViolationCertificate("undominated", (at[i],)) for i in _undominated(member, rows())]
     dominating = not violations
-
-    nonmember_interior = [u for u in interior if u not in pts]
-    loc_certs = []
-    for i, u in enumerate(nonmember_interior):
-        nu = {n for n in neighbors(u) if n in pts}
-        for w in nonmember_interior[i + 1:]:
-            if chebyshev(u, w) > 2:
-                continue
-            nw = {n for n in neighbors(w) if n in pts}
-            if nu == nw:
-                loc_certs.append(ViolationCertificate("unlocatable-pair", (u, w)))
+    loc_certs = [
+        ViolationCertificate("unlocatable-pair", (at[i], at[j]))
+        for i, j, _ in _collisions(member, rows(), at)
+    ]
     locating = not loc_certs
     violations.extend(loc_certs)
 
     # Pairing: interior members must be saturated by a matching among members.
-    members = sorted(pts)
-    required = [v for v in members if v in interior_set]
+    stranded = [at[i] for i, land in rows() if member[i] and not any(member[land[k]] for k in OPEN)]
     paired: bool | None
-    stranded = [
-        v for v in required if not any(n in pts for n in neighbors(v))
-    ]
     if stranded:
         paired = False
         for v in stranded:
@@ -552,15 +546,8 @@ def verify_window(window: FiniteWindow) -> VerificationReport:
                 ViolationCertificate("unpairable", (v,), detail="no adjacent member")
             )
     else:
-        g = nx.Graph()
-        g.add_nodes_from(members)
-        for i, v in enumerate(members):
-            for w in members[i + 1:]:
-                if chebyshev(v, w) == 1:
-                    g.add_edge(v, w, weight=(v in interior_set) + (w in interior_set))
-        mates = nx.max_weight_matching(g)
-        saturated = {v for e in mates for v in e}
-        paired = True if all(v in saturated for v in required) else None
+        required = {p for i, p in at.items() if member[i]}
+        paired = True if saturates(sorted(window.points), required) else None
 
     return VerificationReport(
         dominating=dominating,

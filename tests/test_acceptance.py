@@ -29,8 +29,9 @@ from kinglpds.pattern import (
     translation_canonical,
     window_density,
 )
-from kinglpds.search import SearchConfig, brute_force_oracle, minimum_lpds
+from kinglpds.search import SearchConfig, minimum_lpds
 from kinglpds.verify import verify_lpds, verify_window
+from naive_lpds import brute_force_oracle
 
 F = Fraction
 

@@ -46,12 +46,55 @@ def test_verify_window_file(capsys, tmp_path):
     assert "paired=n/a" in out.splitlines()[0]
 
 
+def test_verify_window_pins_row_major_witness_order(capsys, tmp_path):
+    # (1,3) and (2,2) see the same members; the witness first in row-major
+    # order (by y, then x) is printed first
+    src = tmp_path / "w.txt"
+    src.write_text(
+        "window x=[0..6] y=[0..6]\n"
+        ".XXX.XX\n..X.X..\n...X...\n..X.X..\n.X....X\n....X..\nXXXX.XX\n"
+    )
+    code, out, _ = run(capsys, "verify", str(src))
+    assert code == 1
+    assert out == (
+        "verdict dominated=true locating=false paired=true density=19/49 DS1=n/a DS2=n/a\n"
+        "violation unlocatable-pair (2,2) (1,3)\n"
+    )
+
+
+def test_verify_pins_normalized_periodic_pair(capsys, tmp_path):
+    src = tmp_path / "p.txt"
+    src.write_text("lattice u=(3,0) v=(0,1)\nbase (0,0)\n")
+    code, out, _ = run(capsys, "verify", str(src))
+    assert code == 1
+    assert out == (
+        "verdict dominated=true locating=false paired=true density=1/3 DS1=0/1 DS2=1/3\n"
+        "violation unlocatable-pair (2,0) (4,0)\n"
+    )
+
+
+def test_verify_window_too_small_exits_2(capsys, tmp_path):
+    src = tmp_path / "w.txt"
+    src.write_text("window x=[0..3] y=[0..6]\n" + "\n".join("...." for _ in range(7)) + "\n")
+    code, out, err = run(capsys, "verify", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: window too small")
+
+
 # -- density and catalog -----------------------------------------------------
 
 def test_density_with_window_estimate(capsys):
     code, out, _ = run(capsys, "density", "catalog:L1", "--k", "2")
     assert code == 0
     assert out.splitlines() == ["density 2/9", "window k=2 density=6/25"]
+
+
+def test_density_negative_k_exits_2(capsys):
+    code, out, err = run(capsys, "density", "catalog:L2", "--k", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: k must be >= 0")
 
 
 def test_catalog_emits_parseable_pattern(capsys):

@@ -6,14 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kinglpds.grid import (
-    adjacent,
+    BLOCK,
+    CLOSED,
+    OPEN,
+    SEPARATORS,
     chebyshev,
     closed_neighborhood,
     common_neighbors,
-    k_neighborhood,
     neighbors,
-    opposite_sqrt2,
-    sqrt2_neighbors,
 )
 
 coord = st.integers(min_value=-50, max_value=50)
@@ -61,11 +61,6 @@ def test_closed_neighborhood_adds_center():
     assert closed_neighborhood((0, 0)) == set(neighbors((0, 0))) | {(0, 0)}
 
 
-def test_k_neighborhood_sizes():
-    for k in range(4):
-        assert len(k_neighborhood((1, 1), k)) == (2 * k + 1) ** 2
-
-
 def test_diagonal_pair_shares_two_common_neighbors():
     assert common_neighbors((0, 0), (1, 1)) == {(0, 1), (1, 0)}
 
@@ -74,12 +69,20 @@ def test_orthogonal_pair_shares_four_common_neighbors():
     assert common_neighbors((0, 0), (1, 0)) == {(0, -1), (0, 1), (1, -1), (1, 1)}
 
 
-def test_sqrt2_neighbors_and_opposites():
-    diag = sqrt2_neighbors((0, 0))
-    assert sorted(diag) == [(-1, -1), (-1, 1), (1, -1), (1, 1)]
-    for d in diag:
-        opp = opposite_sqrt2((0, 0), d)
-        assert opp == (-d[0], -d[1])
+# -- constraint template -----------------------------------------------------
+
+def test_template_neighborhoods():
+    assert {BLOCK[k] for k in OPEN} == neighbors((0, 0))
+    assert {BLOCK[k] for k in CLOSED} == closed_neighborhood((0, 0))
+
+
+def test_separator_offsets_reach_every_pair_once():
+    ds = [BLOCK[k] for k, _ in SEPARATORS]
+    both = set(ds) | {(-dx, -dy) for dx, dy in ds}
+    assert len(ds) == 12
+    assert both == {(dx, dy) for dx in range(-2, 3) for dy in range(-2, 3)} - {(0, 0)}
+    for k, sep in SEPARATORS:
+        assert {BLOCK[s] for s in sep} == neighbors((0, 0)) ^ neighbors(BLOCK[k])
 
 
 # -- properties --------------------------------------------------------------
@@ -92,11 +95,6 @@ def test_chebyshev_symmetric(p, q):
 @given(point, point, point)
 def test_chebyshev_triangle(p, q, r):
     assert chebyshev(p, r) <= chebyshev(p, q) + chebyshev(q, r)
-
-
-@given(point, point)
-def test_adjacent_iff_distance_one(p, q):
-    assert adjacent(p, q) == (chebyshev(p, q) == 1)
 
 
 @given(point)

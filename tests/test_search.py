@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from kinglpds.pattern import LatticeBasis, serialize_pattern
-from kinglpds.search import SearchConfig, brute_force_oracle, minimum_lpds
+from kinglpds.search import SearchConfig, minimum_lpds
 from kinglpds.verify import verify_lpds
+from naive_lpds import brute_force_oracle
 
 
 def _forms(result):

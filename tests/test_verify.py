@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import kinglpds.verify
 from kinglpds.grid import neighbors
 from kinglpds.pattern import (
     FiniteWindow,
@@ -22,6 +23,7 @@ from kinglpds.verify import (
     verify_lpds,
     verify_window,
 )
+from naive_lpds import naive_check
 
 
 # -- independent matching oracle ---------------------------------------------
@@ -144,6 +146,58 @@ def test_locating_check_requires_domination():
     iso = PeriodicPattern.make(LatticeBasis((10, 0), (0, 10)), [(0, 0), (1, 1)])
     with pytest.raises(ValueError):
         check_locating(iso)
+
+
+def test_verify_checks_domination_once(monkeypatch):
+    calls = []
+    original = kinglpds.verify.check_domination
+
+    def counting(pattern):
+        calls.append(pattern)
+        return original(pattern)
+
+    monkeypatch.setattr(kinglpds.verify, "check_domination", counting)
+    patterns = [
+        catalog("L1"),
+        catalog("L2"),
+        PeriodicPattern.make(LatticeBasis((3, 0), (0, 1)), [(0, 0)]),
+        PeriodicPattern.make(LatticeBasis((10, 0), (0, 10)), [(0, 0), (1, 1)]),
+    ]
+    for p in patterns:
+        verify_lpds(p)
+    assert len(calls) == len(patterns)
+
+
+# bases where a neighbourhood wraps onto itself, plus ordinary ones
+_NAIVE_BASES = [
+    ((1, 0), (0, 2)),
+    ((3, 0), (0, 1)),
+    ((2, 1), (-3, 3)),
+    ((4, 0), (0, 4)),
+    ((3, 1), (0, 4)),
+    ((9, 0), (0, 4)),
+]
+
+
+def test_domination_and_locating_match_naive_checker():
+    rng = random.Random(20261018)
+    dominated = not_locating = 0
+    for _ in range(400):
+        basis = LatticeBasis(*rng.choice(_NAIVE_BASES))
+        cells = basis.domain_cells()
+        density = rng.uniform(0.15, 0.7)
+        p = PeriodicPattern.make(basis, [c for c in cells if rng.random() < density])
+        report = verify_lpds(p)
+        naive = naive_check(p)
+        assert (report.dominating, report.locating) == (naive.dominated, naive.locating)
+        witnesses = lambda kind: {c.witnesses for c in report.violations if c.kind == kind}
+        assert witnesses("undominated") == {(u,) for u in naive.undominated}
+        if naive.dominated:
+            dominated += 1
+            not_locating += not naive.locating
+            assert witnesses("unlocatable-pair") == naive.collisions
+    # both verdicts must be exercised, not hold vacuously
+    assert dominated >= 100 and not_locating >= 30
 
 
 def test_dominating_but_not_locating():
