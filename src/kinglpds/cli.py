@@ -251,10 +251,10 @@ def _cmd_render(args) -> int:
         bounds = _parse_bounds(args.window)
         window = truncate(obj, *bounds)
         report = verify_lpds(obj)
-        if report.matching is not None and report.classification is not None:
+        if report.matching is not None:
             # the matching is keyed by residues of the matched (possibly
             # refined) pattern, so reduce window points with that basis
-            pairs = _world_pairs(report.classification.pattern, window, report.matching)
+            pairs = _world_pairs(report.matched, window, report.matching)
     else:
         window = obj
         if args.window is not None:

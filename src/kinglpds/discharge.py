@@ -32,7 +32,7 @@ from fractions import Fraction
 
 from .grid import Point, neighbors
 from .pattern import PeriodicPattern
-from .verify import Classification, PairInfo
+from .verify import Classification
 
 HALF = Fraction(1, 2)
 
@@ -171,11 +171,18 @@ def first_pipeline(cls: Classification) -> DischargeResult:
 # pipeline 2, rounds 1 and 2
 # ---------------------------------------------------------------------------
 
-def pendant_rate(info: PairInfo, ch_after_round1: Fraction) -> Fraction:
-    """Round-2 rate r(v): capped share of the surplus over 1 among tier-3 pendants."""
-    if info.p3 == 0:
+def pendant_rate(kind: str, i0: int, p1: int, p2: int, p3: int) -> Fraction:
+    """Round-2 rate r(v) of a member with these ``PairInfo`` counts.
+
+    Its capped share, among the tier-3 pendants, of the surplus over 1 left
+    after round 1 pays 1/2 per non-member interval, 1 per tier-1 pendant and
+    1/2 per tier-2 pendant.
+    """
+    if p3 == 0:
         return HALF
-    return min((ch_after_round1 - 1) / info.p3, HALF)
+    start, intervals = (FAR_WEIGHT_2, 2) if kind == "far" else (CLOSE_WEIGHT_2, 4)
+    ch = start - Fraction(intervals - i0, 2) - p1 - Fraction(p2, 2)
+    return min((ch - 1) / p3, HALF)
 
 
 def second_pipeline(cls: Classification) -> DischargeResult:
@@ -203,13 +210,13 @@ def second_pipeline(cls: Classification) -> DischargeResult:
             trace.append(Transfer("pendant-half", v, u, HALF))
 
     # round 2: tier-3 pendants at the member's own rate
-    rates = {v: pendant_rate(info, ch3[v]) for v, info in cls.pairs.items()}
     ch4 = dict(ch3)
     for v, info in cls.pairs.items():
+        rate = pendant_rate(info.kind, info.i0, info.p1, info.p2, info.p3)
         for u in info.pendant_split[3]:
-            ch4[v] -= rates[v]
-            ch4[reduce(u)] += rates[v]
-            trace.append(Transfer("pendant-rate", v, u, rates[v]))
+            ch4[v] -= rate
+            ch4[reduce(u)] += rate
+            trace.append(Transfer("pendant-rate", v, u, rate))
 
     for v in cls.pairs:
         if ch4[v] < 1:

@@ -6,8 +6,9 @@ Graph distance on this grid coincides with Chebyshev distance, so the distance-k
 ball is the (2k+1) x (2k+1) square.
 
 Domination and locating are written once, as offsets from a cell named by
-their slot in the 7x7 block ``BLOCK``.  Every checker evaluates these slots; a
-domain only says where ``cell + BLOCK[k]`` lands.
+their slot in the 7x7 block ``BLOCK``.  Every checker evaluates these slots,
+and ``locks`` compiles them into the masks both searches prune on; a domain
+only says where ``cell + BLOCK[k]`` lands.
 """
 
 from __future__ import annotations
@@ -72,3 +73,20 @@ def mask(land, slots) -> int:
     for k in slots:
         out |= 1 << land[k]
     return out
+
+
+def locks(rows, checked) -> list[int]:
+    """Distinct masks of cells that must never be entirely non-members.
+
+    ``rows`` yields each cell ``i`` to check with its landing ``land``: its
+    closed neighborhood is a lock, and so is, for each ``j = land[k] != i`` in
+    ``checked``, the pair ``i, j`` with its separator cells.
+    """
+    out: dict[int, None] = {}
+    for i, land in rows:
+        out[mask(land, CLOSED)] = None
+        for k, sep in SEPARATORS:
+            j = land[k]
+            if j != i and j in checked:
+                out[1 << i | 1 << j | mask(land, sep)] = None
+    return list(out)

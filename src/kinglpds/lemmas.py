@@ -30,20 +30,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .grid import (
-    BLOCK,
-    CLOSED,
-    SEPARATORS,
-    Point,
-    closed_neighborhood,
-    common_neighbors,
-    mask,
-    neighbors,
-)
+from .discharge import HALF, pendant_rate
+from .grid import BLOCK, Point, closed_neighborhood, common_neighbors, locks, neighbors
 from .pattern import FiniteWindow, serialize_window
 from .verify import saturates
-
-HALF = Fraction(1, 2)
 
 
 @dataclass
@@ -99,7 +89,6 @@ class _WindowSearch:
             key=lambda p: (max(abs(p[0]), abs(p[1])), p[1], p[0]),
         )
         self.index = {p: i for i, p in enumerate(self.cells)}
-        self.early = [] if early_cells is None else [self.index[p] for p in early_cells]
         self.nbr_idx = [
             [self.index[n] for n in neighbors(p) if n in self.index] for p in self.cells
         ]
@@ -120,43 +109,39 @@ class _WindowSearch:
             self.out_mask |= 1 << (self.index[p])
 
         decided = self.in_mask | self.out_mask
-        free = [i for i in range(len(self.cells)) if not (decided >> i) & 1]
         # claim-relevant cells first lets prunes and locks fire at shallow
         # depth; the remaining cells keep the center-outward order
-        free_set = set(free)
-        early = [i for i in self.early if i in free_set]
-        early_set = set(early)
-        self.order = early + [i for i in free if i not in early_set]
+        early = [self.index[p] for p in early_cells or []]
+        order = dict.fromkeys(early + list(range(len(self.cells))))
+        self.order = [i for i in order if not decided >> i & 1]
         self._build_locks()
 
     # -- certificate locks ---------------------------------------------------
 
     def _build_locks(self) -> None:
-        inner = self.radius - 1
-        locks: list[int] = []
-        for p in self.cells:
-            if max(abs(p[0]), abs(p[1])) > inner:
-                continue
-            # offsets beyond the window land on None, which no closed
-            # neighborhood of, or separator between, interior cells reaches
-            land = [self.index.get((p[0] + dx, p[1] + dy)) for dx, dy in BLOCK]
-            locks.append(mask(land, CLOSED))
-            for k, sep in SEPARATORS:
-                w = (p[0] + BLOCK[k][0], p[1] + BLOCK[k][1])
-                if max(abs(w[0]), abs(w[1])) <= inner:
-                    locks.append(1 << self.index[p] | 1 << land[k] | mask(land, sep))
-        self.locks = locks
-        self.locks_by_cell: list[list[int]] = [[] for _ in self.cells]
-        for dep in locks:
-            rest = dep
-            while rest:
-                low = rest & -rest
-                self.locks_by_cell[low.bit_length() - 1].append(dep)
-                rest ^= low
+        """File each lock under the order position of its last undecided cell.
 
-    def _locked_now(self) -> bool:
-        out = self.out_mask
-        return any((out & dep) == dep for dep in self.locks)
+        A lock becomes all-out only when that cell is set out, so it is tested
+        there alone; one holding a forced member never fires, and one with no
+        undecided cell settles the case before the search.  Offsets beyond the
+        window land on None, which no lock of interior cells reaches.
+        """
+        rows = [
+            (i, [self.index.get((p[0] + dx, p[1] + dy)) for dx, dy in BLOCK])
+            for i, p in enumerate(self.cells)
+            if max(abs(p[0]), abs(p[1])) < self.radius
+        ]
+        position = {i: pos for pos, i in enumerate(self.order)}
+        self.settled = False
+        self.locks_at: list[list[int]] = [[] for _ in self.order]
+        for dep in locks(rows, {i for i, _ in rows}):
+            if dep & self.in_mask:
+                continue
+            last = max((pos for i, pos in position.items() if dep >> i & 1), default=None)
+            if last is None:
+                self.settled = True
+            else:
+                self.locks_at[last].append(dep)
 
     # -- state reads for hooks ----------------------------------------------
 
@@ -196,9 +181,7 @@ class _WindowSearch:
     # -- search --------------------------------------------------------------
 
     def run(self, safe: Callable, fails: Callable) -> tuple[str, FiniteWindow | None]:
-        if self._locked_now():
-            return "holds", None
-        if safe(self):
+        if self.settled or safe(self):
             return "holds", None
         try:
             self._dfs(0, safe, fails)
@@ -219,9 +202,7 @@ class _WindowSearch:
         bit = 1 << i
 
         self.out_mask |= bit
-        locked = any(
-            (self.out_mask & dep) == dep for dep in self.locks_by_cell[i]
-        )
+        locked = any(self.out_mask & dep == dep for dep in self.locks_at[pos])
         if not locked and not safe(self):
             self._dfs(pos + 1, safe, fails)
         self.out_mask ^= bit
@@ -389,15 +370,6 @@ def _count_vectors() -> list[tuple[str, int, int, int, int, int]]:
     return out
 
 
-def _rate_from_counts(kind: str, i0: int, p1: int, p2: int, p3: int) -> Fraction:
-    start = Fraction(9, 2) if kind == "far" else Fraction(5)
-    ni = 2 if kind == "far" else 4
-    ch3 = start - Fraction(ni - i0, 2) - p1 - Fraction(p2, 2)
-    if p3 == 0:
-        return HALF
-    return min((ch3 - 1) / p3, HALF)
-
-
 def check_r_claims() -> list[LemmaVerdict]:
     """Confirm the two facts about the round-2 rate by count enumeration.
 
@@ -412,7 +384,7 @@ def check_r_claims() -> list[LemmaVerdict]:
     half_bad = None
     for kind, i0, p0, p1, p2, p3 in vectors:
         if kind == "close" or p0 + i0 >= 1 or p1 == 0:
-            if _rate_from_counts(kind, i0, p1, p2, p3) != HALF:
+            if pendant_rate(kind, i0, p1, p2, p3) != HALF:
                 half_bad = (kind, i0, p0, p1, p2, p3)
                 break
     elapsed = 1000 * (time.perf_counter() - start)
@@ -429,7 +401,7 @@ def check_r_claims() -> list[LemmaVerdict]:
     for kind, i0, p0, p1, p2, p3 in vectors:
         if p3 == 0:
             continue
-        if _rate_from_counts(kind, i0, p1, p2, p3) < Fraction(p3 - 1, 2 * p3):
+        if pendant_rate(kind, i0, p1, p2, p3) < Fraction(p3 - 1, 2 * p3):
             low_bad = (kind, i0, p0, p1, p2, p3)
             break
     low = LemmaVerdict(
@@ -494,7 +466,7 @@ def _adjacent_sum_case(
                     p[0] += 1
                 else:
                     p[min(nc[i], 3)] += 1
-            return _rate_from_counts("far", i0, p[1], p[2], p[3])
+            return pendant_rate("far", i0, p[1], p[2], p[3])
 
         def side_grant(e: _WindowSearch, pend, intv) -> Fraction:
             if any(e.is_in(i) for i in pend) or any(e.is_in(i) for i in intv):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -170,15 +171,30 @@ class PeriodicPattern:
 
 
 def window_count(pattern: PeriodicPattern | FiniteWindow, center: Point, k: int) -> int:
-    """Number of pattern (or window) points at graph distance <= k from center."""
+    """Number of pattern (or window) points at graph distance <= k from center.
+
+    A pattern row repeats with the Hermite period a, so each row of the box is
+    counted as whole periods plus one partial period, in time linear in k.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     cx, cy = center
+    ys = range(cy - k, cy + k + 1)
+    if isinstance(pattern, FiniteWindow):
+        return sum(pattern.contains((x, y)) for x in range(cx - k, cx + k + 1) for y in ys)
+    a, b, c = pattern.basis.hermite
+    rows: dict[int, list[int]] = {}
+    for x, y in sorted(pattern.base):
+        rows.setdefault(y, []).append(x)
+    # members at residues x' < t of a row, for 0 <= t < 2a
+    below = lambda xs, t: bisect_left(xs, t) + bisect_left(xs, t - a)
+    whole, part = divmod(2 * k + 1, a)
     n = 0
-    for x in range(cx - k, cx + k + 1):
-        for y in range(cy - k, cy + k + 1):
-            if pattern.contains((x, y)):
-                n += 1
+    for y in ys:
+        q, r = divmod(y, c)
+        xs = rows.get(r, [])
+        s = (cx - k - q * b) % a
+        n += whole * len(xs) + below(xs, s + part) - below(xs, s)
     return n
 
 

@@ -4,12 +4,12 @@ The search assigns membership to the residues of the fundamental domain in
 row-major order, deepening over even target cardinalities, so the first
 feasible cardinality is the exact minimum.  Constraint checks fire at
 deadlines: the last residue index on which a constraint depends.  Domination
-and locating checks are exact at their deadlines (separation of a vertex pair
-is translation invariant, so one representative per pair orbit suffices);
-pairing is enforced by a necessary isolation check during search and settled
-by full verification at leaves.  A matching is required at the pattern's own
-period (no lattice refinement), which keeps search answers directly
-comparable with a brute-force enumeration of subsets.
+and locating are ``grid.locks``, exact at their deadlines (separation of a
+vertex pair is translation invariant, so one representative per pair orbit
+suffices); pairing is enforced by a necessary isolation check during search
+and settled by full verification at leaves.  A matching is required at the
+pattern's own period (no lattice refinement), which keeps search answers
+directly comparable with a brute-force enumeration of subsets.
 
 Odd cardinalities are skipped outright: members are perfectly matched inside
 the fundamental domain, so their count per domain is even.
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import CLOSED, OPEN, SEPARATORS, mask
+from .grid import OPEN, locks, mask
 from .pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -76,25 +76,10 @@ def _tables(basis: LatticeBasis):
     domain, land = torus_landing(basis)
     n = len(domain)
 
-    dom_dl: list[list[int]] = [[] for _ in range(n)]
-    for row in land:
-        m = mask(row, CLOSED)
-        dom_dl[m.bit_length() - 1].append(m)
-
-    loc_dl: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
-    for ui, row in enumerate(land):
-        for k, sep_slots in SEPARATORS:
-            wi = row[k]
-            if wi == ui:
-                continue
-            sep = mask(row, sep_slots)
-            pair_mask = (1 << ui) | (1 << wi)
-            if (pair_mask, sep) in seen:
-                continue
-            seen.add((pair_mask, sep))
-            deadline = max(ui, wi, sep.bit_length() - 1)
-            loc_dl[deadline].append((pair_mask, sep))
+    # a lock is decided at its highest residue, where "no member" is "all out"
+    lock_dl: list[list[int]] = [[] for _ in range(n)]
+    for dep in locks(enumerate(land), range(n)):
+        lock_dl[dep.bit_length() - 1].append(dep)
 
     pair_dl: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for ci, row in enumerate(land):
@@ -104,7 +89,7 @@ def _tables(basis: LatticeBasis):
         deadline = max(ci, nbr.bit_length() - 1)
         pair_dl[deadline].append((1 << ci, nbr))
 
-    return domain, dom_dl, loc_dl, pair_dl
+    return domain, lock_dl, pair_dl
 
 
 # ---------------------------------------------------------------------------
@@ -128,15 +113,12 @@ class _KSearch:
     frontier: list[tuple] = field(default_factory=list)
 
     def __post_init__(self):
-        self.domain, self.dom_dl, self.loc_dl, self.pair_dl = _tables(self.basis)
+        self.domain, self.lock_dl, self.pair_dl = _tables(self.basis)
         self.n = len(self.domain)
 
     def _alive(self, pos: int, in_mask: int, out_mask: int) -> bool:
-        for m in self.dom_dl[pos]:
-            if not in_mask & m:
-                return False
-        for pair_mask, sep in self.loc_dl[pos]:
-            if (out_mask & pair_mask) == pair_mask and not in_mask & sep:
+        for dep in self.lock_dl[pos]:
+            if out_mask & dep == dep:
                 return False
         for cbit, nbr in self.pair_dl[pos]:
             if in_mask & cbit and not in_mask & nbr:

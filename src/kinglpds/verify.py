@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 
 import networkx as nx
 
@@ -72,14 +72,21 @@ class VerificationReport:
     locating: bool
     paired: bool | None
     matching: "Matching | None" = None
+    matched: PeriodicPattern | None = None  # the pattern the matching lives on
     lifted_basis: LatticeBasis | None = None
     violations: list[ViolationCertificate] = field(default_factory=list)
-    classification: "Classification | None" = None
     density: Fraction | None = None
 
     @property
     def valid(self) -> bool:
         return self.dominating and self.locating and self.paired is True
+
+    @cached_property
+    def classification(self) -> "Classification | None":
+        """The taxonomy under the matching, built on first use."""
+        if self.matching is None:
+            return None
+        return classify(self.matched, self.matching)
 
     def machine_line(self) -> str:
         cls = self.classification
@@ -448,7 +455,7 @@ def classify(pattern: PeriodicPattern, matching: Matching) -> Classification:
 # ---------------------------------------------------------------------------
 
 def verify_lpds(pattern: PeriodicPattern, allow_refinement: bool = True) -> VerificationReport:
-    """Compose domination, locating, and pairing; classify on success."""
+    """Compose domination, locating, and pairing; classification waits for first use."""
     violations = list(check_domination(pattern))
     dominating = not violations
     locating = False
@@ -464,18 +471,14 @@ def verify_lpds(pattern: PeriodicPattern, allow_refinement: bool = True) -> Veri
             ViolationCertificate("unpairable", mres.witnesses, detail=mres.obstruction or "")
         )
 
-    classification = None
-    if paired:
-        classification = classify(mres.pattern, mres.matching)
-
     return VerificationReport(
         dominating=dominating,
         locating=locating,
         paired=paired,
         matching=mres.matching,
+        matched=mres.pattern,
         lifted_basis=mres.lifted_basis,
         violations=violations,
-        classification=classification,
         density=pattern.density,
     )
 

@@ -1,5 +1,7 @@
 """Command-line interface: outputs, exit codes, and format round-trips."""
 
+import time
+
 import pytest
 
 from kinglpds.cli import main
@@ -88,6 +90,18 @@ def test_density_with_window_estimate(capsys):
     code, out, _ = run(capsys, "density", "catalog:L1", "--k", "2")
     assert code == 0
     assert out.splitlines() == ["density 2/9", "window k=2 density=6/25"]
+
+
+def test_density_large_k_is_fast(capsys):
+    # rows are counted in whole periods, so the cost grows only linearly in k
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "density", "catalog:L2", "--k", "100000")
+    assert time.perf_counter() - start < 5
+    assert code == 0
+    assert out.splitlines() == [
+        "density 2/9",
+        "window k=100000 density=8888944445/40000400001",
+    ]
 
 
 def test_density_negative_k_exits_2(capsys):
@@ -191,6 +205,86 @@ def test_discharge_pipeline2_stage_labels(capsys):
         if l.startswith("charge ")
     )
     assert lines[-1] == "average initial=19/18 final=19/18"
+
+
+# both 5x5 patterns of test_discharge.py that reach a rescue case in round 3
+_RESCUE_34_OUT = """\
+pipeline 2
+charge (0,0) ch2=9/2 ch3=3/1 ch4=5/2 ch5=5/2
+charge (1,0) ch2=9/2 ch3=9/2 ch4=9/2 ch5=9/2
+charge (2,0) ch2=9/2 ch3=3/1 ch4=3/1 ch5=3/1
+charge (3,0) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,0) ch2=0/1 ch3=0/1 ch4=5/4 ch5=5/4
+charge (0,1) ch2=9/2 ch3=5/2 ch4=2/1 ch5=2/1
+charge (1,1) ch2=9/2 ch3=3/1 ch4=3/1 ch5=3/1
+charge (2,1) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (3,1) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,1) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (0,2) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (1,2) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (2,2) ch2=9/2 ch3=1/1 ch4=1/1 ch5=1/1
+charge (3,2) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,2) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (0,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (1,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (2,3) ch2=0/1 ch3=0/1 ch4=3/4 ch5=5/4
+charge (3,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (0,4) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (1,4) ch2=9/2 ch3=5/2 ch4=2/1 ch5=3/2
+charge (2,4) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (3,4) ch2=9/2 ch3=3/2 ch4=1/1 ch5=1/1
+charge (4,4) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+min final=1/1
+average initial=36/25 final=36/25
+deficient (2,3) case=3.4 rich=(1,4) amount=1/2
+"""
+_RESCUE_351_OUT = """\
+pipeline 2
+charge (0,0) ch2=9/2 ch3=3/1 ch4=5/2 ch5=2/1
+charge (1,0) ch2=9/2 ch3=9/2 ch4=7/2 ch5=7/2
+charge (2,0) ch2=9/2 ch3=5/2 ch4=1/1 ch5=1/1
+charge (3,0) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,0) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (0,1) ch2=9/2 ch3=3/1 ch4=5/2 ch5=5/2
+charge (1,1) ch2=9/2 ch3=4/1 ch4=7/2 ch5=7/2
+charge (2,1) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (3,1) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,1) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (0,2) ch2=0/1 ch3=0/1 ch4=3/2 ch5=3/2
+charge (1,2) ch2=9/2 ch3=3/1 ch4=5/2 ch5=5/2
+charge (2,2) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (3,2) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,2) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (0,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (1,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (2,3) ch2=9/2 ch3=2/1 ch4=1/1 ch5=1/1
+charge (3,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (4,3) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (0,4) ch2=0/1 ch3=1/1 ch4=1/1 ch5=1/1
+charge (1,4) ch2=0/1 ch3=0/1 ch4=11/6 ch5=11/6
+charge (2,4) ch2=0/1 ch3=0/1 ch4=4/3 ch5=4/3
+charge (3,4) ch2=0/1 ch3=0/1 ch4=5/6 ch5=4/3
+charge (4,4) ch2=9/2 ch3=1/1 ch4=1/1 ch5=1/1
+min final=1/1
+average initial=36/25 final=36/25
+deficient (3,4) case=3.5.1 rich=(0,5) amount=1/2
+"""
+
+
+@pytest.mark.parametrize(
+    "base, expected",
+    [
+        ("(0,0) (1,0) (2,0) (0,1) (1,1) (2,2) (1,4) (3,4)", _RESCUE_34_OUT),
+        ("(0,0) (1,0) (2,0) (0,1) (1,1) (1,2) (2,3) (4,4)", _RESCUE_351_OUT),
+    ],
+)
+def test_discharge_pipeline2_pins_rescue_patterns(capsys, tmp_path, base, expected):
+    src = tmp_path / "p.txt"
+    src.write_text(f"lattice u=(5,0) v=(0,5)\nbase {base}\n")
+    code, out, _ = run(capsys, "discharge", str(src), "--theorem", "2")
+    assert code == 0
+    assert out == expected
 
 
 def test_discharge_rejects_invalid_pattern(capsys, tmp_path):

@@ -14,7 +14,7 @@ from kinglpds.discharge import (
     run_pipeline,
     single_type_bounds,
 )
-from kinglpds.pattern import LatticeBasis, PeriodicPattern, catalog
+from kinglpds.pattern import LatticeBasis, PeriodicPattern, XDescriptor, catalog, lx_pattern
 from kinglpds.verify import verify_lpds
 
 F = Fraction
@@ -236,3 +236,31 @@ def test_rescue_case_351_end_to_end():
     ]
     assert res.final.minimum() == 1
     assert res.conservation_ok()
+
+
+# -- taxonomy facts ----------------------------------------------------------
+
+def test_taxonomy_holds_on_valid_patterns():
+    patterns = [catalog("L1"), catalog("L2")]
+    patterns += [lx_pattern(XDescriptor.from_bits(bits)) for bits in ("0", "10", "101")]
+    for base in (
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 2), (1, 4), (3, 4)],
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2), (2, 3), (4, 4)],
+    ):
+        patterns.append(PeriodicPattern.make(LatticeBasis((5, 0), (0, 5)), base))
+    for p in patterns:
+        r = verify_lpds(p)
+        assert r.valid
+        assert r.classification.taxonomy_violations() == []
+
+
+def test_taxonomy_flags_a_paired_non_locating_pattern():
+    p = PeriodicPattern.make(LatticeBasis((4, 0), (0, 4)), [(1, 3), (2, 2), (2, 3), (3, 2)])
+    r = verify_lpds(p)
+    assert r.paired and not r.locating
+    problems = r.classification.taxonomy_violations()
+    assert problems
+    assert all(
+        problem.endswith("far pair with no pendant in the member-or-tier-3 class")
+        for problem in problems
+    )

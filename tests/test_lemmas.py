@@ -3,12 +3,12 @@
 import re
 from fractions import Fraction
 
+from kinglpds.discharge import pendant_rate
 from kinglpds.lemmas import (
     _CENTER,
     _FAR_PARTNER,
     _count_vectors,
     _pendants_of,
-    _rate_from_counts,
     _run_case,
     check_adjacent_sum,
     check_all,
@@ -79,13 +79,13 @@ def test_node_budget_yields_inconclusive():
 
 def test_rate_spot_values():
     # the unique tight diagonal profile spends everything: rate drops to 0
-    assert _rate_from_counts("far", 0, 1, 3, 1) == 0
+    assert pendant_rate("far", 0, 1, 3, 1) == 0
     # a member interval neighbor restores the half rate
-    assert _rate_from_counts("far", 1, 1, 2, 1) == HALF
+    assert pendant_rate("far", 1, 1, 2, 1) == HALF
     # orthogonal pairs always afford the half rate
-    assert _rate_from_counts("close", 0, 1, 0, 2) == HALF
+    assert pendant_rate("close", 0, 1, 0, 2) == HALF
     # no tier-3 pendants at all: rate defaults to the cap
-    assert _rate_from_counts("far", 0, 0, 0, 0) == HALF
+    assert pendant_rate("far", 0, 0, 0, 0) == HALF
 
 
 def test_count_vector_inventory():
@@ -111,14 +111,14 @@ def test_half_rate_conditions_are_exact_and_necessary():
         v for v in vecs if v[0] == "close" or v[2] + v[1] >= 1 or v[3] == 0
     ]
     assert all(
-        _rate_from_counts(kind, i0, p1, p2, p3) == HALF
+        pendant_rate(kind, i0, p1, p2, p3) == HALF
         for kind, i0, p0, p1, p2, p3 in covered
     )
     # dropping the side conditions would be wrong: some uncovered profile
     # cannot afford the half rate
     uncovered = [v for v in vecs if v not in covered]
     assert any(
-        _rate_from_counts(kind, i0, p1, p2, p3) < HALF
+        pendant_rate(kind, i0, p1, p2, p3) < HALF
         for kind, i0, p0, p1, p2, p3 in uncovered
     )
 
@@ -130,7 +130,7 @@ def test_lower_bound_holds_and_is_tight():
         if p3 == 0:
             continue
         bound = Fraction(p3 - 1, 2 * p3)
-        rate = _rate_from_counts(kind, i0, p1, p2, p3)
+        rate = pendant_rate(kind, i0, p1, p2, p3)
         assert rate >= bound
         tight = tight or rate == bound
     assert tight

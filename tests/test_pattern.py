@@ -119,6 +119,19 @@ def test_window_count_l1_small():
     assert window_density(catalog("L1"), (0, 0), 1) == Fraction(2, 9)
 
 
+def test_window_count_matches_cell_by_cell_count():
+    patterns = (catalog("L1"), catalog("L2"), lx_pattern(XDescriptor.from_bits("101")))
+    for p in patterns:
+        for cx, cy in ((0, 0), (7, -5), (-13, 22)):
+            for k in range(13):
+                cells = sum(
+                    p.contains((x, y))
+                    for x in range(cx - k, cx + k + 1)
+                    for y in range(cy - k, cy + k + 1)
+                )
+                assert window_count(p, (cx, cy), k) == cells
+
+
 def test_window_density_frozen_values():
     L1 = catalog("L1")
     assert window_density(L1, (0, 0), 25) == Fraction(2, 9)

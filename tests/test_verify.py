@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import kinglpds.verify
-from kinglpds.grid import neighbors
+from kinglpds.grid import locks, neighbors
 from kinglpds.pattern import (
     FiniteWindow,
     LatticeBasis,
@@ -14,8 +14,10 @@ from kinglpds.pattern import (
     XDescriptor,
     catalog,
     lx_pattern,
+    torus_landing,
     truncate,
 )
+from kinglpds.search import SearchConfig, minimum_lpds
 from kinglpds.verify import (
     check_domination,
     check_locating,
@@ -198,6 +200,46 @@ def test_domination_and_locating_match_naive_checker():
             assert witnesses("unlocatable-pair") == naive.collisions
     # both verdicts must be exercised, not hold vacuously
     assert dominated >= 100 and not_locating >= 30
+
+
+def test_locks_fire_exactly_on_violations():
+    # the search and the lemma engine prune on these masks: some lock is
+    # entirely non-members exactly when domination or locating fails
+    rng = random.Random(20261019)
+    undominated = not_locating = held = 0
+    for _ in range(300):
+        basis = LatticeBasis(*rng.choice(_NAIVE_BASES))
+        cells, land = torus_landing(basis)
+        density = rng.uniform(0.15, 0.7)
+        p = PeriodicPattern.make(basis, [c for c in cells if rng.random() < density])
+        members = sum(1 << i for i, c in enumerate(cells) if c in p.base)
+        locked = any(not members & dep for dep in locks(enumerate(land), range(len(cells))))
+        if check_domination(p):
+            assert locked
+            undominated += 1
+        elif check_locating(p):
+            assert locked
+            not_locating += 1
+        else:
+            assert not locked
+            held += 1
+    # every outcome is exercised, so neither direction holds vacuously
+    assert undominated >= 50 and not_locating >= 30 and held >= 50
+
+
+def test_classification_waits_for_first_use(monkeypatch):
+    calls = []
+    original = kinglpds.verify.classify
+
+    def counting(pattern, matching):
+        calls.append(pattern)
+        return original(pattern, matching)
+
+    monkeypatch.setattr(kinglpds.verify, "classify", counting)
+    minimum_lpds(SearchConfig(LatticeBasis((6, 0), (0, 3))))
+    assert calls == []
+    verify_lpds(catalog("L2")).machine_line()
+    assert len(calls) == 1
 
 
 def test_dominating_but_not_locating():
