@@ -6,9 +6,12 @@ Graph distance on this grid coincides with Chebyshev distance, so the distance-k
 ball is the (2k+1) x (2k+1) square.
 
 Domination and locating are written once, as offsets from a cell named by
-their slot in the 7x7 block ``BLOCK``.  Every checker evaluates these slots,
-and ``locks`` compiles them into the masks both searches prune on; a domain
-only says where ``cell + BLOCK[k]`` lands.
+their slot in the 7x7 block ``BLOCK``.  Domination is total: every vertex,
+member or not, needs a member among its 8 neighbors (a member's partner is
+one), so the open neighborhood ``OPEN`` is the only neighborhood slot set.
+Every checker evaluates these slots, and ``locks`` compiles them into the
+masks both searches prune on; a domain only says where ``cell + BLOCK[k]``
+lands.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ def _slots(offsets) -> tuple[int, ...]:
 
 
 OPEN = _slots(_NEIGHBOR_STEPS)  # the cells whose members a vertex sees
-CLOSED = _slots(closed_neighborhood((0, 0)))  # a member here dominates the cell
 
 # Non-members u and u + d see the same members exactly when no member lies in
 # N(0) xor N(d), shifted by u.  Equal nonempty member sets share a member, so
@@ -79,12 +81,13 @@ def locks(rows, checked) -> list[int]:
     """Distinct masks of cells that must never be entirely non-members.
 
     ``rows`` yields each cell ``i`` to check with its landing ``land``: its
-    closed neighborhood is a lock, and so is, for each ``j = land[k] != i`` in
-    ``checked``, the pair ``i, j`` with its separator cells.
+    open neighborhood is a lock, and so is, for each ``j = land[k] != i`` in
+    ``checked``, the pair ``i, j`` with its separator cells.  No member among
+    the 8 neighbors leaves a non-member undominated and a member unpaired.
     """
     out: dict[int, None] = {}
     for i, land in rows:
-        out[mask(land, CLOSED)] = None
+        out[mask(land, OPEN)] = None
         for k, sep in SEPARATORS:
             j = land[k]
             if j != i and j in checked:

@@ -11,8 +11,9 @@ violation certificate is fully visible inside the window, AND the visible
 members admit the matching the pairing property demands.  Certificates are
 conservative: an equal-neighborhood pair needs both cells plus the symmetric
 difference of their neighborhoods decided and member-free (cells shared by
-both neighborhoods cannot separate them, so they may stay unknown); an
-undominated cell needs its whole closed neighborhood decided and member-free.
+both neighborhoods cannot separate them, so they may stay unknown); a cell
+with no member neighbor (undominated, or a member left unpaired) needs its 8
+neighbors decided and member-free.
 Cells outside the window are unknown, and a real extension could only add
 members there, which breaks certificates but never creates them — so relying
 only on in-window certificates errs on the side of reporting counterexamples,
@@ -78,7 +79,6 @@ class _WindowSearch:
         self,
         radius: int,
         forced_in: list[Point],
-        forced_out: list[Point],
         forced_pairs: list[tuple[Point, Point]],
         node_budget: int | None = None,
         early_cells: list[Point] | None = None,
@@ -105,15 +105,12 @@ class _WindowSearch:
             self.in_mask |= 1 << i
             for j in self.nbr_idx[i]:
                 self.ncount[j] += 1
-        for p in forced_out:
-            self.out_mask |= 1 << (self.index[p])
 
-        decided = self.in_mask | self.out_mask
         # claim-relevant cells first lets prunes and locks fire at shallow
         # depth; the remaining cells keep the center-outward order
         early = [self.index[p] for p in early_cells or []]
         order = dict.fromkeys(early + list(range(len(self.cells))))
-        self.order = [i for i in order if not decided >> i & 1]
+        self.order = [i for i in order if not self.in_mask >> i & 1]
         self._build_locks()
 
     # -- certificate locks ---------------------------------------------------
@@ -122,9 +119,10 @@ class _WindowSearch:
         """File each lock under the order position of its last undecided cell.
 
         A lock becomes all-out only when that cell is set out, so it is tested
-        there alone; one holding a forced member never fires, and one with no
-        undecided cell settles the case before the search.  Offsets beyond the
-        window land on None, which no lock of interior cells reaches.
+        there alone; one holding a forced member never fires and is dropped.
+        Every other lock has an undecided cell, since only forced members are
+        decided before the search.  Offsets beyond the window land on None,
+        which no lock of interior cells reaches.
         """
         rows = [
             (i, [self.index.get((p[0] + dx, p[1] + dy)) for dx, dy in BLOCK])
@@ -132,15 +130,10 @@ class _WindowSearch:
             if max(abs(p[0]), abs(p[1])) < self.radius
         ]
         position = {i: pos for pos, i in enumerate(self.order)}
-        self.settled = False
         self.locks_at: list[list[int]] = [[] for _ in self.order]
         for dep in locks(rows, {i for i, _ in rows}):
-            if dep & self.in_mask:
-                continue
-            last = max((pos for i, pos in position.items() if dep >> i & 1), default=None)
-            if last is None:
-                self.settled = True
-            else:
+            if not dep & self.in_mask:
+                last = max(pos for i, pos in position.items() if dep >> i & 1)
                 self.locks_at[last].append(dep)
 
     # -- state reads for hooks ----------------------------------------------
@@ -181,7 +174,7 @@ class _WindowSearch:
     # -- search --------------------------------------------------------------
 
     def run(self, safe: Callable, fails: Callable) -> tuple[str, FiniteWindow | None]:
-        if self.settled or safe(self):
+        if safe(self):
             return "holds", None
         try:
             self._dfs(0, safe, fails)
@@ -226,7 +219,7 @@ def _run_case(
     node_budget: int | None = None,
     early_cells: list[Point] | None = None,
 ) -> tuple[str, int, FiniteWindow | None]:
-    engine = _WindowSearch(radius, forced_in, [], forced_pairs, node_budget, early_cells)
+    engine = _WindowSearch(radius, forced_in, forced_pairs, node_budget, early_cells)
     safe, fails = make_hooks(engine)
     verdict, witness = engine.run(safe, fails)
     return verdict, engine.configs, witness

@@ -174,13 +174,16 @@ def window_count(pattern: PeriodicPattern | FiniteWindow, center: Point, k: int)
     """Number of pattern (or window) points at graph distance <= k from center.
 
     A pattern row repeats with the Hermite period a, so each row of the box is
-    counted as whole periods plus one partial period, in time linear in k.
+    counted as whole periods plus one partial period.  The rows y = q*c + r of
+    one base residue r start their partial period at (x0 - q*b) mod a, which
+    repeats in q with period a / gcd(a, b); rows are counted per class of q,
+    so the cost does not grow with k.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     cx, cy = center
-    ys = range(cy - k, cy + k + 1)
     if isinstance(pattern, FiniteWindow):
+        ys = range(cy - k, cy + k + 1)
         return sum(pattern.contains((x, y)) for x in range(cx - k, cx + k + 1) for y in ys)
     a, b, c = pattern.basis.hermite
     rows: dict[int, list[int]] = {}
@@ -189,12 +192,16 @@ def window_count(pattern: PeriodicPattern | FiniteWindow, center: Point, k: int)
     # members at residues x' < t of a row, for 0 <= t < 2a
     below = lambda xs, t: bisect_left(xs, t) + bisect_left(xs, t - a)
     whole, part = divmod(2 * k + 1, a)
+    period = a // math.gcd(a, b)
     n = 0
-    for y in ys:
-        q, r = divmod(y, c)
-        xs = rows.get(r, [])
-        s = (cx - k - q * b) % a
-        n += whole * len(xs) + below(xs, s + part) - below(xs, s)
+    for r, xs in rows.items():
+        q0 = -((r - cy + k) // c)  # the rows of residue r in the box: q0 <= q <= q1
+        q1 = (cy + k - r) // c
+        for q in range(q0, q0 + period):
+            runs = (q1 - q) // period + 1
+            if runs > 0:
+                s = (cx - k - q * b) % a
+                n += runs * (whole * len(xs) + below(xs, s + part) - below(xs, s))
     return n
 
 

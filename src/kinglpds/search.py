@@ -6,10 +6,9 @@ feasible cardinality is the exact minimum.  Constraint checks fire at
 deadlines: the last residue index on which a constraint depends.  Domination
 and locating are ``grid.locks``, exact at their deadlines (separation of a
 vertex pair is translation invariant, so one representative per pair orbit
-suffices); pairing is enforced by a necessary isolation check during search
-and settled by full verification at leaves.  A matching is required at the
-pattern's own period (no lattice refinement), which keeps search answers
-directly comparable with a brute-force enumeration of subsets.
+suffices), so a leaf only asks for a perfect matching.  The matching is
+required at the pattern's own period (no lattice refinement), which keeps
+search answers directly comparable with a brute-force enumeration of subsets.
 
 Odd cardinalities are skipped outright: members are perfectly matched inside
 the fundamental domain, so their count per domain is even.
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import OPEN, locks, mask
+from .grid import locks
 from .pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -30,7 +29,7 @@ from .pattern import (
     torus_landing,
     translation_canonical,
 )
-from .verify import verify_lpds
+from .verify import find_perfect_matching
 
 MAX_DOMAIN = 64
 
@@ -39,7 +38,6 @@ MAX_DOMAIN = 64
 class SearchConfig:
     basis: LatticeBasis
     max_cardinality: int | None = None
-    symmetry_reduction: bool = True
     node_budget: int | None = None
     workers: int = 1
     allow_large: bool = False
@@ -81,15 +79,7 @@ def _tables(basis: LatticeBasis):
     for dep in locks(enumerate(land), range(n)):
         lock_dl[dep.bit_length() - 1].append(dep)
 
-    pair_dl: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for ci, row in enumerate(land):
-        if any(row[k] == ci for k in OPEN):
-            continue
-        nbr = mask(row, OPEN)
-        deadline = max(ci, nbr.bit_length() - 1)
-        pair_dl[deadline].append((1 << ci, nbr))
-
-    return domain, lock_dl, pair_dl
+    return domain, lock_dl
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +94,6 @@ class _BudgetHit(Exception):
 class _KSearch:
     basis: LatticeBasis
     k: int
-    symmetry: bool
     node_budget: int | None = None
     base_nodes: int = 0
     nodes: int = 0
@@ -113,22 +102,13 @@ class _KSearch:
     frontier: list[tuple] = field(default_factory=list)
 
     def __post_init__(self):
-        self.domain, self.lock_dl, self.pair_dl = _tables(self.basis)
+        self.domain, self.lock_dl = _tables(self.basis)
         self.n = len(self.domain)
-
-    def _alive(self, pos: int, in_mask: int, out_mask: int) -> bool:
-        for dep in self.lock_dl[pos]:
-            if out_mask & dep == dep:
-                return False
-        for cbit, nbr in self.pair_dl[pos]:
-            if in_mask & cbit and not in_mask & nbr:
-                return False
-        return True
 
     def _leaf(self, in_mask: int) -> None:
         base = tuple(self.domain[i] for i in range(self.n) if (in_mask >> i) & 1)
         pattern = PeriodicPattern.make(self.basis, base)
-        if verify_lpds(pattern, allow_refinement=False).valid:
+        if find_perfect_matching(pattern, allow_refinement=False).matching is not None:
             self.solutions.append(base)
 
     def _dfs(self, pos: int, in_mask: int, out_mask: int, count: int) -> None:
@@ -150,22 +130,24 @@ class _KSearch:
         self.branch(pos, in_mask, out_mask, count)
 
     def branch(self, pos: int, in_mask: int, out_mask: int, count: int) -> None:
+        # every lock filed at pos holds pos, so only the out-branch can fire one
         if count < self.k:
-            im = in_mask | (1 << pos)
-            if self._alive(pos, im, out_mask):
-                self._dfs(pos + 1, im, out_mask, count + 1)
-        if not (self.symmetry and pos == 0):
-            om = out_mask | (1 << pos)
-            if self._alive(pos, in_mask, om):
-                self._dfs(pos + 1, in_mask, om, count)
+            self._dfs(pos + 1, in_mask | (1 << pos), out_mask, count + 1)
+        if pos == 0:
+            return  # residue 0 is always in: some translate of a pattern holds it
+        om = out_mask | (1 << pos)
+        for dep in self.lock_dl[pos]:
+            if om & dep == dep:
+                return
+        self._dfs(pos + 1, in_mask, om, count)
 
     def run(self) -> None:
         self._dfs(0, 0, 0, 0)
 
 
 def _search_unit(args) -> tuple[int, list[tuple]]:
-    u, v, k, symmetry, state = args
-    sub = _KSearch(LatticeBasis(u, v), k, symmetry)
+    u, v, k, state = args
+    sub = _KSearch(LatticeBasis(u, v), k)
     sub.branch(*state)
     return sub.nodes, sub.solutions
 
@@ -187,9 +169,9 @@ def _collect_optima(
 def minimum_lpds(config: SearchConfig) -> SearchResult:
     """Find the minimum members-per-domain over patterns with this lattice.
 
-    Returns every optimum up to translation.  With ``symmetry_reduction`` the
-    first residue is forced in, which loses no translation class because any
-    nonempty pattern can be translated to occupy residue zero.
+    Returns every optimum up to translation.  Residue zero is always forced
+    in, which loses no translation class because any nonempty pattern can be
+    translated to occupy it.
     """
     basis = config.basis
     cells = basis.cells
@@ -207,18 +189,14 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
     nodes_total = 0
     for k in range(2, limit + 1, 2):
         top = _KSearch(
-            basis,
-            k,
-            config.symmetry_reduction,
-            node_budget=config.node_budget,
-            base_nodes=nodes_total,
+            basis, k, node_budget=config.node_budget, base_nodes=nodes_total
         )
         try:
             if workers > 1:
                 top.cut_depth = max(1, min(top.n - 1, 8))
                 top.run()
                 units = [
-                    (basis.u, basis.v, k, config.symmetry_reduction, state)
+                    (basis.u, basis.v, k, state)
                     for state in top.frontier
                 ]
                 with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -6,6 +6,10 @@ neighbors), and paired (the induced subgraph on members admits a perfect
 matching).  For a periodic pattern all three checks run on the quotient by the
 period lattice, which makes them exhaustive for the infinite grid.
 
+A member's partner is a member neighbor, so the cells with no member among
+their 8 neighbors are exactly the undominated non-members and the members
+that cannot be paired; one pass over ``grid.OPEN`` finds both.
+
 Locality of the locating check: if two non-members have equal nonempty member
 neighborhoods, a shared member is within distance 1 of both, so the vertices
 are within Chebyshev distance 2.  Equal-empty neighborhoods cannot occur once
@@ -31,7 +35,6 @@ import networkx as nx
 
 from .grid import (
     BLOCK,
-    CLOSED,
     OPEN,
     SEPARATORS,
     Point,
@@ -114,8 +117,9 @@ class VerificationReport:
 # index and the indices where its BLOCK offsets land; ``checked`` holds the
 # indices of the cells whose neighborhoods may be compared.
 
-def _undominated(member, rows) -> list[int]:
-    return [i for i, land in rows if not any(member[land[k]] for k in CLOSED)]
+def _isolated(member, rows) -> list[int]:
+    """Cells with no member neighbor: undominated non-members, unpairable members."""
+    return [i for i, land in rows if not any(member[land[k]] for k in OPEN)]
 
 
 def _collisions(member, rows, checked):
@@ -141,7 +145,8 @@ def check_domination(pattern: PeriodicPattern) -> list[ViolationCertificate]:
     cells, land, member = _torus(pattern)
     return [
         ViolationCertificate("undominated", (cells[i],))
-        for i in _undominated(member, enumerate(land))
+        for i in _isolated(member, enumerate(land))
+        if not member[i]
     ]
 
 
@@ -160,7 +165,7 @@ def check_locating(pattern: PeriodicPattern) -> list[ViolationCertificate]:
     distance-2 locality and skipping same-residue pairs.
     """
     cells, land, member = _torus(pattern)
-    if _undominated(member, enumerate(land)):
+    if any(not member[i] for i in _isolated(member, enumerate(land))):
         raise ValueError("requires domination")
     keys: dict[tuple[Point, Point], None] = {}
     for i, _, k in _collisions(member, enumerate(land), range(len(cells))):
@@ -530,7 +535,10 @@ def verify_window(window: FiniteWindow) -> VerificationReport:
     strides = [dy * width + dx for dx, dy in BLOCK]
     rows = lambda: ((i, [i + s for s in strides]) for i in at)
 
-    violations = [ViolationCertificate("undominated", (at[i],)) for i in _undominated(member, rows())]
+    isolated = _isolated(member, rows())
+    violations = [
+        ViolationCertificate("undominated", (at[i],)) for i in isolated if not member[i]
+    ]
     dominating = not violations
     loc_certs = [
         ViolationCertificate("unlocatable-pair", (at[i], at[j]))
@@ -540,7 +548,7 @@ def verify_window(window: FiniteWindow) -> VerificationReport:
     violations.extend(loc_certs)
 
     # Pairing: interior members must be saturated by a matching among members.
-    stranded = [at[i] for i, land in rows() if member[i] and not any(member[land[k]] for k in OPEN)]
+    stranded = [at[i] for i in isolated if member[i]]
     paired: bool | None
     if stranded:
         paired = False

@@ -93,7 +93,7 @@ def test_density_with_window_estimate(capsys):
 
 
 def test_density_large_k_is_fast(capsys):
-    # rows are counted in whole periods, so the cost grows only linearly in k
+    # rows are counted in whole periods, grouped by their shift in the period
     start = time.perf_counter()
     code, out, _ = run(capsys, "density", "catalog:L2", "--k", "100000")
     assert time.perf_counter() - start < 5
@@ -102,6 +102,16 @@ def test_density_large_k_is_fast(capsys):
         "density 2/9",
         "window k=100000 density=8888944445/40000400001",
     ]
+
+
+def test_density_huge_k_is_exact_and_fast(capsys):
+    # every L2 row holds 2 members per 9 columns and 2k+1 = 9 * 111111111,
+    # so the window holds exactly 2/9; the cost does not grow with k
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "density", "catalog:L2", "--k", "499999999")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert out.splitlines() == ["density 2/9", "window k=499999999 density=2/9"]
 
 
 def test_density_negative_k_exits_2(capsys):

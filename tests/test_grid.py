@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kinglpds.grid import (
     BLOCK,
-    CLOSED,
     OPEN,
     SEPARATORS,
     chebyshev,
@@ -73,7 +72,6 @@ def test_orthogonal_pair_shares_four_common_neighbors():
 
 def test_template_neighborhoods():
     assert {BLOCK[k] for k in OPEN} == neighbors((0, 0))
-    assert {BLOCK[k] for k in CLOSED} == closed_neighborhood((0, 0))
 
 
 def test_separator_offsets_reach_every_pair_once():

@@ -120,10 +120,19 @@ def test_window_count_l1_small():
 
 
 def test_window_count_matches_cell_by_cell_count():
-    patterns = (catalog("L1"), catalog("L2"), lx_pattern(XDescriptor.from_bits("101")))
+    # Hermite (a, b, c): L1 (9, 2, 1) repeats its row shifts every 9 rows,
+    # (4,0)/(1,6) = (4, 1, 6) every 4 steps of c, L2 and LX have b = 0
+    patterns = (
+        catalog("L1"),
+        catalog("L2"),
+        lx_pattern(XDescriptor.from_bits("101")),
+        PeriodicPattern.make(
+            LatticeBasis((4, 0), (1, 6)), [(0, 0), (0, 1), (0, 3), (1, 3), (2, 5), (3, 1)]
+        ),
+    )
     for p in patterns:
         for cx, cy in ((0, 0), (7, -5), (-13, 22)):
-            for k in range(13):
+            for k in range(31):
                 cells = sum(
                     p.contains((x, y))
                     for x in range(cx - k, cx + k + 1)

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from kinglpds.pattern import LatticeBasis, serialize_pattern
+from kinglpds.pattern import LatticeBasis, PeriodicPattern, serialize_pattern
 from kinglpds.search import SearchConfig, minimum_lpds
 from kinglpds.verify import verify_lpds
-from naive_lpds import brute_force_oracle
+from naive_lpds import brute_force_oracle, naive_check
 
 
 def _forms(result):
@@ -139,3 +139,23 @@ def test_domain_guards():
         minimum_lpds(SearchConfig(LatticeBasis((9, 0), (0, 9))))
     with pytest.raises(ValueError, match="16"):
         brute_force_oracle(LatticeBasis((5, 0), (0, 5)))
+
+
+# -- the leaf asks only for the matching; the locks decide the rest -----------
+
+@pytest.mark.parametrize(
+    "u, v",
+    [((6, 0), (0, 3)), ((3, 0), (0, 6)), ((4, 0), (0, 4)), ((6, 0), (0, 4)), ((4, 0), (1, 6))],
+)
+def test_leaf_optima_pass_the_naive_checker(u, v):
+    basis = LatticeBasis(u, v)
+    res = minimum_lpds(SearchConfig(basis))
+    assert res.status == "optimumFound"
+    for p in res.optima:
+        own = PeriodicPattern.make(basis, [c for c in basis.domain_cells() if p.contains(c)])
+        assert len(own.base) == res.min_cardinality
+        assert naive_check(own).valid
+    if (u, v) == ((4, 0), (1, 6)):
+        # the open lock of a cell can fall due before the cell itself
+        assert len(res.optima) == 30
+        assert res.nodes_explored == 52292

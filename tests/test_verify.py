@@ -204,9 +204,10 @@ def test_domination_and_locating_match_naive_checker():
 
 def test_locks_fire_exactly_on_violations():
     # the search and the lemma engine prune on these masks: some lock is
-    # entirely non-members exactly when domination or locating fails
+    # entirely non-members exactly when some cell has no member among its 8
+    # neighbors (undominated, or a member left unpaired) or locating fails
     rng = random.Random(20261019)
-    undominated = not_locating = held = 0
+    isolated = not_locating = held = 0
     for _ in range(300):
         basis = LatticeBasis(*rng.choice(_NAIVE_BASES))
         cells, land = torus_landing(basis)
@@ -214,17 +215,17 @@ def test_locks_fire_exactly_on_violations():
         p = PeriodicPattern.make(basis, [c for c in cells if rng.random() < density])
         members = sum(1 << i for i, c in enumerate(cells) if c in p.base)
         locked = any(not members & dep for dep in locks(enumerate(land), range(len(cells))))
-        if check_domination(p):
+        if any(not any(p.contains(n) for n in neighbors(c)) for c in cells):
             assert locked
-            undominated += 1
-        elif check_locating(p):
+            isolated += 1
+        elif not naive_check(p).locating:
             assert locked
             not_locating += 1
         else:
             assert not locked
             held += 1
     # every outcome is exercised, so neither direction holds vacuously
-    assert undominated >= 50 and not_locating >= 30 and held >= 50
+    assert (isolated, not_locating, held) == (89, 43, 168)
 
 
 def test_classification_waits_for_first_use(monkeypatch):
