@@ -1,9 +1,13 @@
 """Exact minimum-cardinality search over periodic patterns on a fixed lattice.
 
-The search assigns membership to the residues of the fundamental domain in
-row-major order, deepening over even target cardinalities, so the first
-feasible cardinality is the exact minimum.  Constraint checks fire at
-deadlines: the last residue index on which a constraint depends.  Domination
+The search assigns membership to the residues of the fundamental domain,
+deepening over even target cardinalities, so the first feasible cardinality
+is the exact minimum.  Residues are visited in whichever of row-major,
+column-major or breadth-first order (all from residue 0) gives the locks the
+smallest total span, so locks close soonest.  Constraint checks fire at
+deadlines: the last residue index on which a constraint depends.  A branch
+is also cut when the members placed plus ``need[pos]``, a greedy packing of
+disjoint locks among the undecided residues, exceed the target.  Domination
 and locating are ``grid.locks``, exact at their deadlines (separation of a
 vertex pair is translation invariant, so one representative per pair orbit
 suffices), so a leaf only asks for a perfect matching.  The matching is
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .grid import locks
+from .grid import OPEN, locks
 from .pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -69,17 +73,63 @@ class SearchResult:
 # constraint tables
 # ---------------------------------------------------------------------------
 
+def _orders(cells: list, land) -> tuple[list[int], ...]:
+    """Row-major, column-major and breadth-first (over ``OPEN``) orders from 0."""
+    column = sorted(range(len(cells)), key=lambda i: cells[i])
+    bfs, seen = [0], {0}
+    for i in bfs:
+        for j in (land[i][k] for k in OPEN):
+            if j not in seen:
+                seen.add(j)
+                bfs.append(j)
+    return list(range(len(cells))), column, bfs
+
+
+def _relabel(order: list[int], land) -> list[tuple[int, ...]]:
+    """``land`` with residue ``order[pos]`` renamed ``pos``."""
+    at = {i: pos for pos, i in enumerate(order)}
+    return [tuple(at[j] for j in land[i]) for i in order]
+
+
+def _span(deps: list[int]) -> int:
+    """Total over the locks of highest minus lowest position."""
+    return sum(dep.bit_length() - (dep & -dep).bit_length() for dep in deps)
+
+
+def _packing(deps: list[int], pos: int) -> list[int]:
+    """Disjoint locks within residues ``pos..n-1``, packed greedily, smallest first.
+
+    At position ``pos`` their residues are all undecided, so each lock takes
+    its own member: a branch with ``count + len(packing) > k`` is dead.
+    """
+    used, packed = 0, []
+    for dep in sorted(deps, key=lambda dep: (dep.bit_count(), dep)):
+        if dep >> pos << pos == dep and not dep & used:
+            used |= dep
+            packed.append(dep)
+    return packed
+
+
 @lru_cache(maxsize=64)
 def _tables(basis: LatticeBasis):
-    domain, land = torus_landing(basis)
-    n = len(domain)
+    cells, land = torus_landing(basis)
+    n = len(cells)
+
+    # the order whose locks span the fewest positions decides them soonest;
+    # min keeps the earliest on a tie
+    ranked = [
+        (order, locks(enumerate(_relabel(order, land)), range(n)))
+        for order in _orders(cells, land)
+    ]
+    order, deps = min(ranked, key=lambda od: _span(od[1]))
+    domain = [cells[i] for i in order]
 
     # a lock is decided at its highest residue, where "no member" is "all out"
     lock_dl: list[list[int]] = [[] for _ in range(n)]
-    for dep in locks(enumerate(land), range(n)):
+    for dep in deps:
         lock_dl[dep.bit_length() - 1].append(dep)
 
-    return domain, lock_dl
+    return domain, lock_dl, [len(_packing(deps, pos)) for pos in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +152,7 @@ class _KSearch:
     frontier: list[tuple] = field(default_factory=list)
 
     def __post_init__(self):
-        self.domain, self.lock_dl = _tables(self.basis)
+        self.domain, self.lock_dl, self.need = _tables(self.basis)
         self.n = len(self.domain)
 
     def _leaf(self, in_mask: int) -> None:
@@ -122,7 +172,7 @@ class _KSearch:
             if count == self.k:
                 self._leaf(in_mask)
             return
-        if count + (self.n - pos) < self.k:
+        if count + (self.n - pos) < self.k or count + self.need[pos] > self.k:
             return
         if self.cut_depth is not None and pos == self.cut_depth:
             self.frontier.append((pos, in_mask, out_mask, count))

@@ -152,7 +152,7 @@ def test_search_reports_optimum(capsys):
     code, out, _ = run(capsys, "search", "--lattice", "u=(2,1) v=(-3,3)")
     assert code == 0
     assert out.splitlines() == [
-        "optimum k=2 density=2/9 patterns=1 nodes=37",
+        "optimum k=2 density=2/9 patterns=1 nodes=31",
         "",
         "lattice u=(9,0) v=(2,1)",
         "base (0,0) (3,0)",

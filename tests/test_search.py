@@ -1,11 +1,18 @@
 """Exact-cardinality search vs. the brute-force oracle, plus its contracts."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from kinglpds.pattern import LatticeBasis, PeriodicPattern, serialize_pattern
-from kinglpds.search import SearchConfig, minimum_lpds
+from kinglpds.pattern import (
+    LatticeBasis,
+    PeriodicPattern,
+    catalog,
+    serialize_pattern,
+    translation_canonical,
+)
+from kinglpds.search import SearchConfig, _packing, _tables, minimum_lpds
 from kinglpds.verify import verify_lpds
 from naive_lpds import brute_force_oracle, naive_check
 
@@ -16,9 +23,14 @@ def _forms(result):
 
 # -- agreement with the oracle -----------------------------------------------
 
+# the 16-cell lattices are visited row-major, column-major ((8,0)/(0,2)) and
+# breadth-first ((8,0)/(1,2), (16,0)/(7,1)), and the lower bound cuts on each
 @pytest.mark.parametrize(
     "u, v",
-    [((2, 0), (0, 2)), ((3, 0), (0, 3)), ((2, 1), (-3, 3))],
+    [
+        ((2, 0), (0, 2)), ((3, 0), (0, 3)), ((2, 1), (-3, 3)),
+        ((4, 0), (0, 4)), ((8, 0), (0, 2)), ((8, 0), (1, 2)), ((16, 0), (7, 1)),
+    ],
 )
 def test_search_matches_oracle(u, v):
     basis = LatticeBasis(u, v)
@@ -28,6 +40,21 @@ def test_search_matches_oracle(u, v):
     assert res.min_cardinality == ora.min_cardinality
     assert res.min_density == ora.min_density
     assert _forms(res) == _forms(ora)
+
+
+@pytest.mark.parametrize(
+    "u, v, head",
+    [
+        ((4, 0), (0, 4), [(0, 0), (1, 0), (2, 0), (3, 0)]),
+        ((8, 0), (0, 2), [(0, 0), (0, 1), (1, 0), (1, 1)]),
+        ((8, 0), (1, 2), [(0, 0), (0, 1), (1, 1), (2, 1)]),
+        ((16, 0), (7, 1), [(0, 0), (6, 0), (7, 0), (8, 0)]),
+    ],
+)
+def test_residue_order_is_chosen_per_lattice(u, v, head):
+    domain, _, _ = _tables(LatticeBasis(u, v))
+    assert domain[:4] == head
+    assert sorted(domain) == sorted(LatticeBasis(u, v).domain_cells())
 
 
 def test_frozen_small_optima():
@@ -46,15 +73,15 @@ def test_frozen_det9():
     res = minimum_lpds(SearchConfig(LatticeBasis((3, 0), (0, 3))))
     assert (res.min_cardinality, res.min_density) == (4, Fraction(4, 9))
     assert len(res.optima) == 13
-    assert res.nodes_explored == 253
+    assert res.nodes_explored == 243
 
 
 def test_frozen_det16():
     res = minimum_lpds(SearchConfig(LatticeBasis((4, 0), (0, 4))))
     assert (res.min_cardinality, res.min_density) == (4, Fraction(1, 4))
     assert len(res.optima) == 25
-    assert res.nodes_explored == 1753
-    assert res.summary_line() == "optimum k=4 density=1/4 patterns=25 nodes=1753"
+    assert res.nodes_explored == 1624
+    assert res.summary_line() == "optimum k=4 density=1/4 patterns=25 nodes=1624"
 
 
 def test_density_matches_cardinality():
@@ -66,7 +93,7 @@ def test_period_nine_lattice_reaches_target_density():
     res = minimum_lpds(SearchConfig(LatticeBasis((2, 1), (-3, 3))))
     assert (res.min_cardinality, res.min_density) == (2, Fraction(2, 9))
     assert len(res.optima) == 1
-    assert res.nodes_explored == 37
+    assert res.nodes_explored == 31
 
 
 # -- determinism -------------------------------------------------------------
@@ -81,7 +108,7 @@ def test_repeat_runs_identical():
 def test_workers_do_not_change_the_answer():
     one = minimum_lpds(SearchConfig(LatticeBasis((4, 0), (0, 4))))
     two = minimum_lpds(SearchConfig(LatticeBasis((4, 0), (0, 4)), workers=2))
-    assert one.nodes_explored == two.nodes_explored == 1753
+    assert one.nodes_explored == two.nodes_explored == 1624
     assert _forms(one) == _forms(two)
 
 
@@ -119,7 +146,7 @@ def test_cardinality_cap_infeasible():
     )
     assert res.status == "infeasible"
     assert res.min_cardinality is None
-    assert res.nodes_explored == 34
+    assert res.nodes_explored == 24
 
 
 def test_node_budget_exceeded():
@@ -143,10 +170,12 @@ def test_domain_guards():
 
 # -- the leaf asks only for the matching; the locks decide the rest -----------
 
-@pytest.mark.parametrize(
-    "u, v",
-    [((6, 0), (0, 3)), ((3, 0), (0, 6)), ((4, 0), (0, 4)), ((6, 0), (0, 4)), ((4, 0), (1, 6))],
-)
+LEAF_LATTICES = [
+    ((6, 0), (0, 3)), ((3, 0), (0, 6)), ((4, 0), (0, 4)), ((6, 0), (0, 4)), ((4, 0), (1, 6)),
+]
+
+
+@pytest.mark.parametrize("u, v", LEAF_LATTICES)
 def test_leaf_optima_pass_the_naive_checker(u, v):
     basis = LatticeBasis(u, v)
     res = minimum_lpds(SearchConfig(basis))
@@ -158,4 +187,48 @@ def test_leaf_optima_pass_the_naive_checker(u, v):
     if (u, v) == ((4, 0), (1, 6)):
         # the open lock of a cell can fall due before the cell itself
         assert len(res.optima) == 30
-        assert res.nodes_explored == 52292
+        assert res.nodes_explored == 42027
+
+
+@pytest.mark.parametrize("u, v", LEAF_LATTICES)
+def test_need_is_a_sound_lower_bound(u, v):
+    basis = LatticeBasis(u, v)
+    domain, lock_dl, need = _tables(basis)
+    n = len(domain)
+    deps = [dep for filed in lock_dl for dep in filed]
+    for pos in range(n + 1):
+        packed = _packing(deps, pos)
+        assert len(packed) == need[pos]
+        assert all(dep >> pos << pos == dep for dep in packed)
+        assert all(not a & b for a, b in combinations(packed, 2))
+    # every translate of every optimum meets the bound, not only those at 0
+    res = minimum_lpds(SearchConfig(basis))
+    position = {c: i for i, c in enumerate(domain)}
+    for p in res.optima:
+        for tx, ty in domain:
+            held = [position[c] for c in domain if p.contains((c[0] + tx, c[1] + ty))]
+            assert len(held) == res.min_cardinality
+            for pos in range(n + 1):
+                assert sum(i >= pos for i in held) >= need[pos]
+
+
+# -- transposing the lattice transposes the search ----------------------------
+
+def _transposed(p):
+    u, v = p.basis.u, p.basis.v
+    flipped = PeriodicPattern.make(
+        LatticeBasis(u[::-1], v[::-1]), [(y, x) for x, y in p.base]
+    )
+    return serialize_pattern(translation_canonical(flipped))
+
+
+def test_transposed_lattice_gives_transposed_optima():
+    wide = minimum_lpds(SearchConfig(LatticeBasis((9, 0), (0, 4))))
+    tall = minimum_lpds(SearchConfig(LatticeBasis((4, 0), (0, 9))))
+    assert wide.min_cardinality == tall.min_cardinality == 8
+    assert len(wide.optima) == len(tall.optima) == 8
+    assert sorted(_transposed(p) for p in wide.optima) == _forms(tall)
+    # the chosen orders are transposes too, so the trees are the same size
+    assert wide.nodes_explored == tall.nodes_explored == 587910
+    l2 = serialize_pattern(translation_canonical(catalog("L2")))
+    assert l2 in _forms(wide)
