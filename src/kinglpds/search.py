@@ -7,12 +7,19 @@ column-major or breadth-first order (all from residue 0) gives the locks the
 smallest total span, so locks close soonest.  Constraint checks fire at
 deadlines: the last residue index on which a constraint depends.  A branch
 is also cut when the members placed plus ``need[pos]``, a greedy packing of
-disjoint locks among the undecided residues, exceed the target.  Domination
-and locating are ``grid.locks``, exact at their deadlines (separation of a
-vertex pair is translation invariant, so one representative per pair orbit
-suffices), so a leaf only asks for a perfect matching.  The matching is
-required at the pattern's own period (no lattice refinement), which keeps
-search answers directly comparable with a brute-force enumeration of subsets.
+disjoint locks among the undecided residues (made non-increasing in
+``pos``), exceed the target.  Domination and locating are ``grid.locks``,
+exact at their deadlines (separation of a vertex pair is translation
+invariant, so one representative per pair orbit suffices), so a leaf only
+asks for a perfect matching.
+
+Residue 0 is forced in, so every translate of a pattern that holds residue 0
+is a leaf of its own; a leaf is kept only when its member mask is the least
+of those translates, read off a table of translations, so each translation
+class is kept once.  Its members are then paired by backtracking on masks of
+their ``OPEN`` neighbours, which is the loop-free quotient of the pattern at
+its own period (no lattice refinement), so search answers stay directly
+comparable with a brute-force enumeration of subsets.
 
 Odd cardinalities are skipped outright: members are perfectly matched inside
 the fundamental domain, so their count per domain is even.
@@ -20,12 +27,14 @@ the fundamental domain, so their count per domain is even.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
-from .grid import OPEN, locks
+from .grid import OPEN, Point, locks, mask
 from .pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -33,7 +42,6 @@ from .pattern import (
     torus_landing,
     translation_canonical,
 )
-from .verify import find_perfect_matching
 
 MAX_DOMAIN = 64
 
@@ -110,18 +118,28 @@ def _packing(deps: list[int], pos: int) -> list[int]:
     return packed
 
 
+class _Tables(NamedTuple):
+    """Per-lattice search tables, indexed by position in the chosen order."""
+
+    domain: list[Point]  # the residue at each position
+    lock_dl: list[list[int]]  # locks filed at their highest position
+    need: list[int]  # members still needed at positions >= pos, a lower bound
+    adj: list[int]  # mask of the OPEN landings of each position, itself excluded
+    shift: list[list[int]]  # shift[t][i]: where i lands when t is moved onto 0
+
+
 @lru_cache(maxsize=64)
-def _tables(basis: LatticeBasis):
+def _tables(basis: LatticeBasis) -> _Tables:
     cells, land = torus_landing(basis)
     n = len(cells)
 
     # the order whose locks span the fewest positions decides them soonest;
     # min keeps the earliest on a tie
-    ranked = [
-        (order, locks(enumerate(_relabel(order, land)), range(n)))
-        for order in _orders(cells, land)
-    ]
-    order, deps = min(ranked, key=lambda od: _span(od[1]))
+    ranked = []
+    for order in _orders(cells, land):
+        rows = _relabel(order, land)
+        ranked.append((order, rows, locks(enumerate(rows), range(n))))
+    order, rows, deps = min(ranked, key=lambda r: _span(r[2]))
     domain = [cells[i] for i in order]
 
     # a lock is decided at its highest residue, where "no member" is "all out"
@@ -129,7 +147,37 @@ def _tables(basis: LatticeBasis):
     for dep in deps:
         lock_dl[dep.bit_length() - 1].append(dep)
 
-    return domain, lock_dl, [len(_packing(deps, pos)) for pos in range(n + 1)]
+    # a packing for pos + 1 is one for pos too
+    need = [len(_packing(deps, pos)) for pos in range(n + 1)]
+    for pos in range(n - 1, -1, -1):
+        need[pos] = max(need[pos], need[pos + 1])
+
+    position = {c: pos for pos, c in enumerate(domain)}
+    shift = [
+        [position[basis.reduce((x - tx, y - ty))] for x, y in domain]
+        for tx, ty in domain
+    ]
+    adj = [mask(row, OPEN) & ~(1 << pos) for pos, row in enumerate(rows)]
+    return _Tables(domain, lock_dl, need, adj, shift)
+
+
+def _paired(adj: list[int], members: int) -> bool:
+    """Whether ``members`` has a perfect matching along ``adj``.
+
+    The lowest member is matched to each neighbour in turn, then the rest
+    recursively: exact, and at most half as deep as the member count.
+    """
+    if not members:
+        return True
+    low = members & -members
+    rest = members ^ low
+    mates = adj[low.bit_length() - 1] & rest
+    while mates:
+        mate = mates & -mates
+        if _paired(adj, rest ^ mate):
+            return True
+        mates ^= mate
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +200,22 @@ class _KSearch:
     frontier: list[tuple] = field(default_factory=list)
 
     def __post_init__(self):
-        self.domain, self.lock_dl, self.need = _tables(self.basis)
+        self.domain, self.lock_dl, self.need, self.adj, self.shift = _tables(self.basis)
         self.n = len(self.domain)
 
     def _leaf(self, in_mask: int) -> None:
-        base = tuple(self.domain[i] for i in range(self.n) if (in_mask >> i) & 1)
-        pattern = PeriodicPattern.make(self.basis, base)
-        if find_perfect_matching(pattern, allow_refinement=False).matching is not None:
-            self.solutions.append(base)
+        members = [i for i in range(self.n) if in_mask >> i & 1]
+        # moving member t onto residue 0 gives another leaf of the same class;
+        # keep only the least of them (members[0] is residue 0 itself)
+        for t in members[1:]:
+            row = self.shift[t]
+            moved = 0
+            for i in members:
+                moved |= 1 << row[i]
+            if moved < in_mask:
+                return
+        if _paired(self.adj, in_mask):
+            self.solutions.append(tuple(self.domain[i] for i in members))
 
     def _dfs(self, pos: int, in_mask: int, out_mask: int, count: int) -> None:
         self.nodes += 1
@@ -232,7 +288,8 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
         )
     limit = cells if config.max_cardinality is None else min(config.max_cardinality, cells)
 
-    workers = max(1, config.workers)
+    # more processes than cores, or than frontier units, only cost start-up
+    workers = min(max(1, config.workers), os.cpu_count() or 1)
     if config.node_budget is not None:
         workers = 1  # keep the budget and the node count exact
 
@@ -249,7 +306,8 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
                     (basis.u, basis.v, k, state)
                     for state in top.frontier
                 ]
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                size = max(1, min(workers, len(units)))
+                with ProcessPoolExecutor(max_workers=size) as pool:
                     for sub_nodes, sub_solutions in pool.map(
                         _search_unit, units, chunksize=8
                     ):

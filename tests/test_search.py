@@ -1,10 +1,13 @@
 """Exact-cardinality search vs. the brute-force oracle, plus its contracts."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import kinglpds.search
+from kinglpds.grid import neighbors
 from kinglpds.pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -12,8 +15,8 @@ from kinglpds.pattern import (
     serialize_pattern,
     translation_canonical,
 )
-from kinglpds.search import SearchConfig, _packing, _tables, minimum_lpds
-from kinglpds.verify import verify_lpds
+from kinglpds.search import SearchConfig, _packing, _paired, _tables, minimum_lpds
+from kinglpds.verify import find_perfect_matching, verify_lpds
 from naive_lpds import brute_force_oracle, naive_check
 
 
@@ -52,7 +55,7 @@ def test_search_matches_oracle(u, v):
     ],
 )
 def test_residue_order_is_chosen_per_lattice(u, v, head):
-    domain, _, _ = _tables(LatticeBasis(u, v))
+    domain = _tables(LatticeBasis(u, v)).domain
     assert domain[:4] == head
     assert sorted(domain) == sorted(LatticeBasis(u, v).domain_cells())
 
@@ -110,6 +113,35 @@ def test_workers_do_not_change_the_answer():
     two = minimum_lpds(SearchConfig(LatticeBasis((4, 0), (0, 4)), workers=2))
     assert one.nodes_explored == two.nodes_explored == 1624
     assert _forms(one) == _forms(two)
+
+
+def test_workers_are_clamped_to_cores_and_units(monkeypatch):
+    sizes, units = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            items = list(items)
+            units.append(len(items))
+            return map(fn, items)
+
+    monkeypatch.setattr(kinglpds.search, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(kinglpds.search.os, "cpu_count", lambda: 10)
+    basis = LatticeBasis((4, 0), (0, 4))
+    res = minimum_lpds(SearchConfig(basis, workers=100000))
+    assert res.nodes_explored == 1624
+    assert _forms(res) == _forms(minimum_lpds(SearchConfig(basis)))
+    # k=2 has fewer frontier units than cores, k=4 more
+    assert units == [3, 54]
+    assert sizes == [3, 10]
 
 
 # -- optima are genuine (canonical forms may need the index-2 lift) ----------
@@ -190,17 +222,26 @@ def test_leaf_optima_pass_the_naive_checker(u, v):
         assert res.nodes_explored == 42027
 
 
-@pytest.mark.parametrize("u, v", LEAF_LATTICES)
+# on the 37-cell strip the greedy packing alone grows from position 17 to 18
+@pytest.mark.parametrize("u, v", LEAF_LATTICES + [((37, 0), (11, 1))])
 def test_need_is_a_sound_lower_bound(u, v):
     basis = LatticeBasis(u, v)
-    domain, lock_dl, need = _tables(basis)
+    tables = _tables(basis)
+    domain, need = tables.domain, tables.need
     n = len(domain)
-    deps = [dep for filed in lock_dl for dep in filed]
+    deps = [dep for filed in tables.lock_dl for dep in filed]
+    greedy = []
     for pos in range(n + 1):
         packed = _packing(deps, pos)
-        assert len(packed) == need[pos]
+        greedy.append(len(packed))
         assert all(dep >> pos << pos == dep for dep in packed)
         assert all(not a & b for a, b in combinations(packed, 2))
+    # a packing for pos + 1 is one for pos, so need is the suffix maximum
+    assert need == [max(greedy[pos:]) for pos in range(n + 1)]
+    assert all(a >= b for a, b in zip(need, need[1:]))
+    if (u, v) == ((37, 0), (11, 1)):
+        assert greedy[17] < greedy[18]
+        return  # no optimum within reach of a test
     # every translate of every optimum meets the bound, not only those at 0
     res = minimum_lpds(SearchConfig(basis))
     position = {c: i for i, c in enumerate(domain)}
@@ -210,6 +251,65 @@ def test_need_is_a_sound_lower_bound(u, v):
             assert len(held) == res.min_cardinality
             for pos in range(n + 1):
                 assert sum(i >= pos for i in held) >= need[pos]
+
+
+def _count_matchings(basis, members):
+    """Perfect matchings of the loop-free quotient, by exhaustive backtracking."""
+    adj = {r: set() for r in members}
+    for r in members:
+        for q in map(basis.reduce, neighbors(r)):
+            if q != r and q in adj:
+                adj[r].add(q)
+
+    def rec(free):
+        if not free:
+            return 1
+        r = min(free)
+        rest = free - {r}
+        return sum(rec(rest - {q}) for q in adj[r] if q in rest)
+
+    has_triangle = any(adj[a] & adj[b] for a in adj for b in adj[a])
+    return rec(frozenset(members)), has_triangle
+
+
+# (6,0)/(1,1) holds the neighbour offset (1,1), so every cell sees itself
+@pytest.mark.parametrize(
+    "u, v",
+    [((2, 0), (0, 2)), ((6, 0), (0, 2)), ((2, 1), (-3, 3)), ((6, 0), (1, 1))] + LEAF_LATTICES,
+)
+def test_mask_pairing_matches_both_oracles(u, v):
+    basis = LatticeBasis(u, v)
+    tables = _tables(basis)
+    n = len(tables.domain)
+    rng = random.Random(f"{u}{v}")
+    outcomes, odd_cycles = set(), 0
+    for _ in range(60):
+        positions = rng.sample(range(n), 2 * rng.randrange(1, min(n, 12) // 2 + 1))
+        members = [tables.domain[i] for i in positions]
+        paired = _paired(tables.adj, sum(1 << i for i in positions))
+        p = PeriodicPattern.make(basis, members)
+        assert paired == (find_perfect_matching(p, allow_refinement=False).matching is not None)
+        count, has_triangle = _count_matchings(basis, members)
+        assert paired == (count > 0)
+        outcomes.add(paired)
+        odd_cycles += has_triangle
+    assert odd_cycles
+    assert outcomes == {True, False} or n <= 4
+
+
+def test_one_canonicalization_per_optimum(monkeypatch):
+    calls = []
+    real = kinglpds.search.translation_canonical
+    monkeypatch.setattr(
+        kinglpds.search, "translation_canonical", lambda p: calls.append(p) or real(p)
+    )
+    basis = LatticeBasis((6, 0), (0, 3))
+    one = minimum_lpds(SearchConfig(basis))
+    assert len(one.optima) == len(calls) == 73
+    two = minimum_lpds(SearchConfig(basis, workers=2))
+    assert len(calls) == 2 * 73
+    assert two.nodes_explored == one.nodes_explored == 7613
+    assert _forms(two) == _forms(one)
 
 
 # -- transposing the lattice transposes the search ----------------------------
