@@ -155,7 +155,6 @@ def _cmd_search(args) -> int:
         basis=basis,
         max_cardinality=args.max_k,
         node_budget=args.node_budget,
-        workers=args.workers,
         allow_large=args.allow_large,
     )
     try:
@@ -173,6 +172,8 @@ _CHECKS = ("lemma1.1", "lemma1.2", "lemma1.3", "r-claims", "adjacent-sum", "all"
 
 
 def _cmd_check(args) -> int:
+    if args.node_budget is not None and args.node_budget < 0:
+        raise CliError("node budget must be >= 0")
     verdicts: list[LemmaVerdict] = []
     if args.target == "all":
         verdicts = check_all(args.node_budget)
@@ -309,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("search", help="minimum members per fundamental domain")
     p.add_argument("--lattice", required=True, help='basis "u=(a,b) v=(c,d)"')
     p.add_argument("--max-k", type=int, dest="max_k")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--node-budget", type=int, dest="node_budget")
     p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.set_defaults(func=_cmd_search)

@@ -23,12 +23,14 @@ comparable with a brute-force enumeration of subsets.
 
 Odd cardinalities are skipped outright: members are perfectly matched inside
 the fundamental domain, so their count per domain is even.
+
+Each k is one depth-first search in this process, and a node budget counts
+the nodes of every k tried so far, so a reported count names one tree.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -51,7 +53,6 @@ class SearchConfig:
     basis: LatticeBasis
     max_cardinality: int | None = None
     node_budget: int | None = None
-    workers: int = 1
     allow_large: bool = False
 
 
@@ -192,12 +193,9 @@ class _BudgetHit(Exception):
 class _KSearch:
     basis: LatticeBasis
     k: int
-    node_budget: int | None = None
-    base_nodes: int = 0
+    limit: float  # nodes this k may still visit, math.inf without a budget
     nodes: int = 0
     solutions: list[tuple] = field(default_factory=list)
-    cut_depth: int | None = None
-    frontier: list[tuple] = field(default_factory=list)
 
     def __post_init__(self):
         self.domain, self.lock_dl, self.need, self.adj, self.shift = _tables(self.basis)
@@ -219,10 +217,7 @@ class _KSearch:
 
     def _dfs(self, pos: int, in_mask: int, out_mask: int, count: int) -> None:
         self.nodes += 1
-        if (
-            self.node_budget is not None
-            and self.base_nodes + self.nodes > self.node_budget
-        ):
+        if self.nodes > self.limit:
             raise _BudgetHit
         if pos == self.n:
             if count == self.k:
@@ -230,12 +225,6 @@ class _KSearch:
             return
         if count + (self.n - pos) < self.k or count + self.need[pos] > self.k:
             return
-        if self.cut_depth is not None and pos == self.cut_depth:
-            self.frontier.append((pos, in_mask, out_mask, count))
-            return
-        self.branch(pos, in_mask, out_mask, count)
-
-    def branch(self, pos: int, in_mask: int, out_mask: int, count: int) -> None:
         # every lock filed at pos holds pos, so only the out-branch can fire one
         if count < self.k:
             self._dfs(pos + 1, in_mask | (1 << pos), out_mask, count + 1)
@@ -249,13 +238,6 @@ class _KSearch:
 
     def run(self) -> None:
         self._dfs(0, 0, 0, 0)
-
-
-def _search_unit(args) -> tuple[int, list[tuple]]:
-    u, v, k, state = args
-    sub = _KSearch(LatticeBasis(u, v), k)
-    sub.branch(*state)
-    return sub.nodes, sub.solutions
 
 
 # ---------------------------------------------------------------------------
@@ -286,47 +268,30 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
             f"fundamental domain has {cells} cells; beyond {MAX_DOMAIN} pass"
             " allow_large=True"
         )
-    limit = cells if config.max_cardinality is None else min(config.max_cardinality, cells)
-
-    # more processes than cores, or than frontier units, only cost start-up
-    workers = min(max(1, config.workers), os.cpu_count() or 1)
-    if config.node_budget is not None:
-        workers = 1  # keep the budget and the node count exact
+    if config.max_cardinality is not None and config.max_cardinality < 0:
+        raise ValueError("max cardinality must be >= 0")
+    if config.node_budget is not None and config.node_budget < 0:
+        raise ValueError("node budget must be >= 0")
+    max_k = cells if config.max_cardinality is None else min(config.max_cardinality, cells)
+    budget = math.inf if config.node_budget is None else config.node_budget
 
     nodes_total = 0
-    for k in range(2, limit + 1, 2):
-        top = _KSearch(
-            basis, k, node_budget=config.node_budget, base_nodes=nodes_total
-        )
+    for k in range(2, max_k + 1, 2):
+        search = _KSearch(basis, k, limit=budget - nodes_total)
         try:
-            if workers > 1:
-                top.cut_depth = max(1, min(top.n - 1, 8))
-                top.run()
-                units = [
-                    (basis.u, basis.v, k, state)
-                    for state in top.frontier
-                ]
-                size = max(1, min(workers, len(units)))
-                with ProcessPoolExecutor(max_workers=size) as pool:
-                    for sub_nodes, sub_solutions in pool.map(
-                        _search_unit, units, chunksize=8
-                    ):
-                        top.nodes += sub_nodes
-                        top.solutions.extend(sub_solutions)
-            else:
-                top.run()
+            search.run()
         except _BudgetHit:
             return SearchResult(
                 "budgetExceeded",
                 None,
                 None,
                 (),
-                nodes_total + top.nodes,
+                nodes_total + search.nodes,
                 reason=f"node budget {config.node_budget} exhausted",
             )
-        nodes_total += top.nodes
-        if top.solutions:
-            optima = _collect_optima(basis, top.solutions)
+        nodes_total += search.nodes
+        if search.solutions:
+            optima = _collect_optima(basis, search.solutions)
             return SearchResult(
                 "optimumFound",
                 k,
@@ -340,5 +305,5 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
         None,
         (),
         nodes_total,
-        reason=f"no valid pattern with at most {limit} members per domain",
+        reason=f"no valid pattern with at most {max_k} members per domain",
     )

@@ -267,9 +267,7 @@ def _match_at_period(pattern: PeriodicPattern) -> tuple[Matching | None, tuple[P
     return Matching(partner), ()
 
 
-def find_perfect_matching(
-    pattern: PeriodicPattern, allow_refinement: bool = True
-) -> MatchingResult:
+def find_perfect_matching(pattern: PeriodicPattern) -> MatchingResult:
     """Perfect matching on the loop-free quotient, with index-2 fallback.
 
     When the quotient at the given period has no perfect matching (odd member
@@ -281,23 +279,20 @@ def find_perfect_matching(
     if matching is not None:
         matching.validate(pattern)
         return MatchingResult(matching, pattern)
-    if allow_refinement:
-        for refined_basis, rep in _refinements(pattern.basis):
-            pts = [p for p in pattern.base] + [
-                (p[0] + rep[0], p[1] + rep[1]) for p in pattern.base
-            ]
-            refined = PeriodicPattern.make(refined_basis, pts)
-            m2, _ = _match_at_period(refined)
-            if m2 is not None:
-                m2.validate(refined)
-                return MatchingResult(m2, refined, lifted_basis=refined_basis)
+    for refined_basis, rep in _refinements(pattern.basis):
+        pts = [p for p in pattern.base] + [
+            (p[0] + rep[0], p[1] + rep[1]) for p in pattern.base
+        ]
+        refined = PeriodicPattern.make(refined_basis, pts)
+        m2, _ = _match_at_period(refined)
+        if m2 is not None:
+            m2.validate(refined)
+            return MatchingResult(m2, refined, lifted_basis=refined_basis)
     reason = (
         f"odd member count {len(pattern.base)} in fundamental domain"
         if len(pattern.base) % 2
         else "no perfect matching on the loop-free quotient"
-    )
-    if allow_refinement:
-        reason += " or its index-2 refinements"
+    ) + " or its index-2 refinements"
     return MatchingResult(None, pattern, obstruction=reason, witnesses=witnesses)
 
 
@@ -459,7 +454,7 @@ def classify(pattern: PeriodicPattern, matching: Matching) -> Classification:
 # full verification
 # ---------------------------------------------------------------------------
 
-def verify_lpds(pattern: PeriodicPattern, allow_refinement: bool = True) -> VerificationReport:
+def verify_lpds(pattern: PeriodicPattern) -> VerificationReport:
     """Compose domination, locating, and pairing; classification waits for first use."""
     violations = list(check_domination(pattern))
     dominating = not violations
@@ -469,7 +464,7 @@ def verify_lpds(pattern: PeriodicPattern, allow_refinement: bool = True) -> Veri
         locating = not loc
         violations.extend(loc)
 
-    mres = find_perfect_matching(pattern, allow_refinement=allow_refinement)
+    mres = find_perfect_matching(pattern)
     paired = mres.matching is not None
     if not paired:
         violations.append(

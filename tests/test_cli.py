@@ -174,6 +174,29 @@ def test_search_budget_exit(capsys):
     assert out.splitlines() == ["budget-exceeded nodes=51"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("search", "--lattice", "u=(3,0) v=(0,3)", "--max-k", "-2"), "max cardinality"),
+        (("search", "--lattice", "u=(4,0) v=(0,4)", "--node-budget", "-1"), "node budget"),
+        (("check", "lemma1.1", "--node-budget", "-5"), "node budget"),
+    ],
+)
+def test_negative_counts_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message} must be >= 0")
+
+
+def test_search_max_k_zero_is_infeasible(capsys):
+    code, out, _ = run(capsys, "search", "--lattice", "u=(3,0) v=(0,3)", "--max-k", "0")
+    assert code == 0
+    assert out.splitlines() == [
+        "infeasible no valid pattern with at most 0 members per domain nodes=0"
+    ]
+
+
 # -- check -------------------------------------------------------------------
 
 def test_check_r_claims(capsys):

@@ -16,7 +16,7 @@ from kinglpds.pattern import (
     translation_canonical,
 )
 from kinglpds.search import SearchConfig, _packing, _paired, _tables, minimum_lpds
-from kinglpds.verify import find_perfect_matching, verify_lpds
+from kinglpds.verify import _match_at_period, verify_lpds
 from naive_lpds import brute_force_oracle, naive_check
 
 
@@ -108,42 +108,6 @@ def test_repeat_runs_identical():
     assert _forms(a) == _forms(b)
 
 
-def test_workers_do_not_change_the_answer():
-    one = minimum_lpds(SearchConfig(LatticeBasis((4, 0), (0, 4))))
-    two = minimum_lpds(SearchConfig(LatticeBasis((4, 0), (0, 4)), workers=2))
-    assert one.nodes_explored == two.nodes_explored == 1624
-    assert _forms(one) == _forms(two)
-
-
-def test_workers_are_clamped_to_cores_and_units(monkeypatch):
-    sizes, units = [], []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            items = list(items)
-            units.append(len(items))
-            return map(fn, items)
-
-    monkeypatch.setattr(kinglpds.search, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(kinglpds.search.os, "cpu_count", lambda: 10)
-    basis = LatticeBasis((4, 0), (0, 4))
-    res = minimum_lpds(SearchConfig(basis, workers=100000))
-    assert res.nodes_explored == 1624
-    assert _forms(res) == _forms(minimum_lpds(SearchConfig(basis)))
-    # k=2 has fewer frontier units than cores, k=4 more
-    assert units == [3, 54]
-    assert sizes == [3, 10]
-
-
 # -- optima are genuine (canonical forms may need the index-2 lift) ----------
 
 def test_optima_reverify():
@@ -157,7 +121,7 @@ def test_canonical_stripes_need_the_lift():
     res = minimum_lpds(SearchConfig(LatticeBasis((2, 0), (0, 2))))
     stripes = res.optima[0]  # canonical form has a single base point
     assert len(stripes.base) == 1
-    assert verify_lpds(stripes, allow_refinement=False).paired is False
+    assert _match_at_period(stripes)[0] is None
     assert verify_lpds(stripes).valid
 
 
@@ -186,11 +150,14 @@ def test_node_budget_exceeded():
     assert res.status == "budgetExceeded"
     assert res.nodes_explored == 51
     assert res.summary_line() == "budget-exceeded nodes=51"
-    # budgets force the single-worker path, so the count stays reproducible
-    multi = minimum_lpds(
-        SearchConfig(LatticeBasis((4, 0), (0, 4)), node_budget=50, workers=4)
-    )
-    assert multi.nodes_explored == 51
+    # nodes of earlier k count against the budget: the optimum needs 1624
+    basis = LatticeBasis((4, 0), (0, 4))
+    enough = minimum_lpds(SearchConfig(basis, node_budget=1624))
+    assert enough.status == "optimumFound"
+    assert enough.nodes_explored == 1624
+    short = minimum_lpds(SearchConfig(basis, node_budget=1623))
+    assert short.status == "budgetExceeded"
+    assert short.nodes_explored == 1624
 
 
 def test_domain_guards():
@@ -288,7 +255,7 @@ def test_mask_pairing_matches_both_oracles(u, v):
         members = [tables.domain[i] for i in positions]
         paired = _paired(tables.adj, sum(1 << i for i in positions))
         p = PeriodicPattern.make(basis, members)
-        assert paired == (find_perfect_matching(p, allow_refinement=False).matching is not None)
+        assert paired == (_match_at_period(p)[0] is not None)
         count, has_triangle = _count_matchings(basis, members)
         assert paired == (count > 0)
         outcomes.add(paired)
@@ -304,12 +271,9 @@ def test_one_canonicalization_per_optimum(monkeypatch):
         kinglpds.search, "translation_canonical", lambda p: calls.append(p) or real(p)
     )
     basis = LatticeBasis((6, 0), (0, 3))
-    one = minimum_lpds(SearchConfig(basis))
-    assert len(one.optima) == len(calls) == 73
-    two = minimum_lpds(SearchConfig(basis, workers=2))
-    assert len(calls) == 2 * 73
-    assert two.nodes_explored == one.nodes_explored == 7613
-    assert _forms(two) == _forms(one)
+    res = minimum_lpds(SearchConfig(basis))
+    assert len(res.optima) == len(calls) == 73
+    assert res.nodes_explored == 7613
 
 
 # -- transposing the lattice transposes the search ----------------------------

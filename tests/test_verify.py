@@ -19,6 +19,7 @@ from kinglpds.pattern import (
 )
 from kinglpds.search import SearchConfig, minimum_lpds
 from kinglpds.verify import (
+    _match_at_period,
     check_domination,
     check_locating,
     find_perfect_matching,
@@ -70,10 +71,10 @@ def test_matching_existence_matches_oracle_on_catalog():
         p = catalog(name)
         nodes, adj = _quotient(p)
         assert count_perfect_matchings(nodes, adj) > 0
-        mres = find_perfect_matching(p, allow_refinement=False)
-        assert mres.matching is not None
-        mres.matching.validate(p)
-        assert len(mres.matching.pairs()) == len(p.base) // 2
+        matching, _ = _match_at_period(p)
+        assert matching is not None
+        matching.validate(p)
+        assert len(matching.pairs()) == len(p.base) // 2
 
 
 def test_matching_existence_matches_oracle_on_random_patterns():
@@ -87,13 +88,14 @@ def test_matching_existence_matches_oracle_on_random_patterns():
         p = PeriodicPattern.make(basis, pts)
         nodes, adj = _quotient(p)
         oracle_has = count_perfect_matchings(nodes, adj) > 0
-        mres = find_perfect_matching(p, allow_refinement=False)
-        assert (mres.matching is not None) == oracle_has
-        if mres.matching is not None:
-            mres.matching.validate(p)
+        matching, witnesses = _match_at_period(p)
+        assert (matching is not None) == oracle_has
+        if matching is not None:
+            matching.validate(p)
         else:
-            assert mres.obstruction
-            assert mres.witnesses
+            assert witnesses
+            full = find_perfect_matching(p)
+            assert full.lifted_basis is not None or full.obstruction
 
 
 def test_l2_quotient_matching_is_unique():
@@ -258,10 +260,13 @@ def test_dominating_but_not_locating():
 
 def test_refinement_lifts_odd_quotient():
     stripes = PeriodicPattern.make(LatticeBasis((1, 0), (0, 2)), [(0, 0)])
-    bare = find_perfect_matching(stripes, allow_refinement=False)
-    assert bare.matching is None
-    assert "odd member count 1" in bare.obstruction
-    assert bare.witnesses == ((0, 0),)
+    bare, witnesses = _match_at_period(stripes)
+    assert bare is None
+    assert witnesses == ((0, 0),)
+    lone = find_perfect_matching(PeriodicPattern.make(LatticeBasis((3, 0), (0, 3)), [(0, 0)]))
+    assert lone.matching is None
+    assert "odd member count 1" in lone.obstruction
+    assert lone.witnesses == ((0, 0),)
 
     lifted = find_perfect_matching(stripes)
     assert lifted.matching is not None
@@ -272,13 +277,6 @@ def test_refinement_lifts_odd_quotient():
     assert r.valid
     assert r.density == Fraction(1, 2)
     assert r.lifted_basis is not None
-
-
-def test_refinement_respects_opt_out():
-    stripes = PeriodicPattern.make(LatticeBasis((1, 0), (0, 2)), [(0, 0)])
-    r = verify_lpds(stripes, allow_refinement=False)
-    assert r.paired is False
-    assert any(c.kind == "unpairable" for c in r.violations)
 
 
 # -- finite windows ----------------------------------------------------------
