@@ -180,7 +180,7 @@ def _cmd_check(args) -> int:
     elif args.target in ("lemma1.1", "lemma1.2", "lemma1.3"):
         verdicts = [check_lemma1(int(args.target[-1]), args.node_budget)]
     elif args.target == "r-claims":
-        verdicts = check_r_claims()
+        verdicts = check_r_claims(args.node_budget)
     elif args.target == "adjacent-sum":
         verdicts = [check_adjacent_sum(args.node_budget)]
     else:

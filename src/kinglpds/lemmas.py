@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .discharge import HALF, pendant_rate
-from .grid import BLOCK, Point, closed_neighborhood, common_neighbors, locks, neighbors
+from .grid import BLOCK, OPEN, Point, closed_neighborhood, common_neighbors, locks, neighbors
 from .pattern import FiniteWindow, serialize_window
 from .verify import saturates
 
@@ -69,16 +69,17 @@ class _Budget(Exception):
 class _WindowSearch:
     """DFS over in/out assignments of a square window, center-outward.
 
-    Hooks: ``safe(engine)`` prunes a branch once the claim can no longer be
-    refuted in any completion; ``fails(engine)`` decides the conclusion at a
-    fully assigned leaf.  Certificate locks prune any branch whose decided
-    cells already force a visible violation in every completion.
+    The forced members are the endpoints of ``forced_pairs``; they are in
+    before the search starts.  Hooks: ``safe(engine)`` prunes a branch once
+    the claim can no longer be refuted in any completion; ``fails(engine)``
+    decides the conclusion at a fully assigned leaf.  Certificate locks prune
+    any branch whose decided cells already force a visible violation in every
+    completion.
     """
 
     def __init__(
         self,
         radius: int,
-        forced_in: list[Point],
         forced_pairs: list[tuple[Point, Point]],
         node_budget: int | None = None,
         early_cells: list[Point] | None = None,
@@ -89,10 +90,12 @@ class _WindowSearch:
             key=lambda p: (max(abs(p[0]), abs(p[1])), p[1], p[0]),
         )
         self.index = {p: i for i, p in enumerate(self.cells)}
-        self.nbr_idx = [
-            [self.index[n] for n in neighbors(p) if n in self.index] for p in self.cells
+        # where each BLOCK offset of a cell lands; None outside the window
+        land = [
+            [self.index.get((p[0] + dx, p[1] + dy)) for dx, dy in BLOCK] for p in self.cells
         ]
-        self.forced_pairs = forced_pairs
+        self.nbr_idx = [[row[k] for k in OPEN if row[k] is not None] for row in land]
+        self.forced = {p for pair in forced_pairs for p in pair}
         self.node_budget = node_budget
         self.configs = 0
         self.witness: FiniteWindow | None = None
@@ -100,7 +103,7 @@ class _WindowSearch:
         self.in_mask = 0
         self.out_mask = 0
         self.ncount = [0] * len(self.cells)
-        for p in forced_in:
+        for p in self.forced:
             i = self.index[p]
             self.in_mask |= 1 << i
             for j in self.nbr_idx[i]:
@@ -111,23 +114,17 @@ class _WindowSearch:
         early = [self.index[p] for p in early_cells or []]
         order = dict.fromkeys(early + list(range(len(self.cells))))
         self.order = [i for i in order if not self.in_mask >> i & 1]
-        self._build_locks()
 
-    # -- certificate locks ---------------------------------------------------
-
-    def _build_locks(self) -> None:
-        """File each lock under the order position of its last undecided cell.
-
-        A lock becomes all-out only when that cell is set out, so it is tested
-        there alone; one holding a forced member never fires and is dropped.
-        Every other lock has an undecided cell, since only forced members are
-        decided before the search.  Offsets beyond the window land on None,
-        which no lock of interior cells reaches.
-        """
+        # File each certificate lock of the interior cells under the order
+        # position of its last undecided cell: the lock becomes all-out only
+        # when that cell is set out, so it is tested there alone.  A lock
+        # holding a forced member never fires and is dropped; every other
+        # lock has an undecided cell, since only forced members are decided
+        # before the search.
         rows = [
-            (i, [self.index.get((p[0] + dx, p[1] + dy)) for dx, dy in BLOCK])
+            (i, land[i])
             for i, p in enumerate(self.cells)
-            if max(abs(p[0]), abs(p[1])) < self.radius
+            if max(abs(p[0]), abs(p[1])) < radius
         ]
         position = {i: pos for pos, i in enumerate(self.order)}
         self.locks_at: list[list[int]] = [[] for _ in self.order]
@@ -153,9 +150,8 @@ class _WindowSearch:
         member partner here and now; others could pair with the unknown
         exterior.  Forced pairs are honored verbatim.
         """
-        prepaired = {p for pair in self.forced_pairs for p in pair}
         free = [
-            p for i, p in enumerate(self.cells) if self.is_in(i) and p not in prepaired
+            p for i, p in enumerate(self.cells) if self.is_in(i) and p not in self.forced
         ]
         inner = self.radius - 1
         required = {p for p in free if max(abs(p[0]), abs(p[1])) <= inner}
@@ -211,18 +207,31 @@ class _WindowSearch:
         self.in_mask ^= bit
 
 
-def _run_case(
-    radius: int,
-    forced_in: list[Point],
-    forced_pairs: list[tuple[Point, Point]],
-    make_hooks: Callable[[_WindowSearch], tuple[Callable, Callable]],
-    node_budget: int | None = None,
-    early_cells: list[Point] | None = None,
-) -> tuple[str, int, FiniteWindow | None]:
-    engine = _WindowSearch(radius, forced_in, forced_pairs, node_budget, early_cells)
-    safe, fails = make_hooks(engine)
-    verdict, witness = engine.run(safe, fails)
-    return verdict, engine.configs, witness
+def _check(target: str, cases: list[tuple], node_budget: int | None) -> LemmaVerdict:
+    """Run the cases in turn and report the first that does not hold.
+
+    A case is ``(radius, forced_pairs, make_hooks, early_cells)``, where
+    ``make_hooks(engine)`` returns the ``(safe, fails)`` hooks.  Each case
+    gets what is left of the budget, so a claim holds under a budget of N
+    only when all its cases together examine at most N configs.
+    """
+    start = time.perf_counter()
+    total = 0
+    for radius, forced_pairs, make_hooks, early_cells in cases:
+        left = None if node_budget is None else node_budget - total
+        engine = _WindowSearch(radius, forced_pairs, left, early_cells)
+        verdict, witness = engine.run(*make_hooks(engine))
+        total += engine.configs
+        del engine  # free its tables before the next case builds its own
+        if verdict != "holds":
+            return LemmaVerdict(
+                target,
+                verdict,
+                total,
+                1000 * (time.perf_counter() - start),
+                witness=None if witness is None else serialize_window(witness),
+            )
+    return LemmaVerdict(target, "holds", total, 1000 * (time.perf_counter() - start))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +314,6 @@ def check_lemma1(part: int, node_budget: int | None = None) -> LemmaVerdict:
     diagonal pairs only and needs the larger window because refutations are
     excluded by certificates among second-ring cells.
     """
-    cases: list[tuple[Point, int, Callable]]
     if part == 1:
         cases = [(_FAR_PARTNER, 2, _part1_hooks), (_CLOSE_PARTNER, 2, _part1_hooks)]
     elif part == 2:
@@ -314,28 +322,10 @@ def check_lemma1(part: int, node_budget: int | None = None) -> LemmaVerdict:
         cases = [(_FAR_PARTNER, 3, _part3_hooks)]
     else:
         raise ValueError(f"unknown part {part}")
-
-    start = time.perf_counter()
-    total = 0
-    for m, radius, hooks in cases:
-        verdict, configs, witness = _run_case(
-            radius,
-            [_CENTER, m],
-            [(_CENTER, m)],
-            hooks(_CENTER, m),
-            node_budget,
-        )
-        total += configs
-        if verdict != "holds":
-            return LemmaVerdict(
-                f"lemma1.{part}",
-                verdict,
-                total,
-                1000 * (time.perf_counter() - start),
-                witness=None if witness is None else serialize_window(witness),
-            )
-    return LemmaVerdict(
-        f"lemma1.{part}", "holds", total, 1000 * (time.perf_counter() - start)
+    return _check(
+        f"lemma1.{part}",
+        [(radius, [(_CENTER, m)], hooks(_CENTER, m), None) for m, radius, hooks in cases],
+        node_budget,
     )
 
 
@@ -363,48 +353,41 @@ def _count_vectors() -> list[tuple[str, int, int, int, int, int]]:
     return out
 
 
-def check_r_claims() -> list[LemmaVerdict]:
+def check_r_claims(node_budget: int | None = None) -> list[LemmaVerdict]:
     """Confirm the two facts about the round-2 rate by count enumeration.
 
     Half-rate: the rate is exactly 1/2 for orthogonal pairs, for members with
     a member-or-interval pendant or a member common neighbor, and for members
     with no tier-1 pendant.  Lower bound: the rate is always at least
-    (p3 - 1) / (2 p3).
+    (p3 - 1) / (2 p3).  A claim is inconclusive when the count vectors
+    outnumber ``node_budget``.
     """
-    start = time.perf_counter()
     vectors = _count_vectors()
-
-    half_bad = None
-    for kind, i0, p0, p1, p2, p3 in vectors:
-        if kind == "close" or p0 + i0 >= 1 or p1 == 0:
-            if pendant_rate(kind, i0, p1, p2, p3) != HALF:
-                half_bad = (kind, i0, p0, p1, p2, p3)
-                break
-    elapsed = 1000 * (time.perf_counter() - start)
-    half = LemmaVerdict(
-        "r-half",
-        "holds" if half_bad is None else "counterexample",
-        len(vectors),
-        elapsed,
-        witness=None if half_bad is None else f"counts {half_bad}",
+    claims = (
+        (
+            "r-half",
+            lambda kind, i0, p0, p1, p2, p3: not (kind == "close" or p0 + i0 >= 1 or p1 == 0)
+            or pendant_rate(kind, i0, p1, p2, p3) == HALF,
+        ),
+        (
+            "r-lowerbound",
+            lambda kind, i0, p0, p1, p2, p3: p3 == 0
+            or pendant_rate(kind, i0, p1, p2, p3) >= Fraction(p3 - 1, 2 * p3),
+        ),
     )
-
-    start2 = time.perf_counter()
-    low_bad = None
-    for kind, i0, p0, p1, p2, p3 in vectors:
-        if p3 == 0:
-            continue
-        if pendant_rate(kind, i0, p1, p2, p3) < Fraction(p3 - 1, 2 * p3):
-            low_bad = (kind, i0, p0, p1, p2, p3)
-            break
-    low = LemmaVerdict(
-        "r-lowerbound",
-        "holds" if low_bad is None else "counterexample",
-        len(vectors),
-        1000 * (time.perf_counter() - start2),
-        witness=None if low_bad is None else f"counts {low_bad}",
-    )
-    return [half, low]
+    out = []
+    for target, holds in claims:
+        start = time.perf_counter()
+        if node_budget is not None and len(vectors) > node_budget:
+            verdict, examined, witness = "inconclusive", 0, None
+        else:
+            bad = next((v for v in vectors if not holds(*v)), None)
+            verdict = "holds" if bad is None else "counterexample"
+            examined = len(vectors)
+            witness = None if bad is None else f"counts {bad}"
+        elapsed = 1000 * (time.perf_counter() - start)
+        out.append(LemmaVerdict(target, verdict, examined, elapsed, witness))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +398,7 @@ def _rotate90(p: Point) -> Point:
     return (-p[1], p[0])
 
 
-def _adjacent_sum_case(
-    v1: Point, m1: Point, v2: Point, m2: Point, node_budget: int | None
-) -> tuple[str, int, FiniteWindow | None]:
+def _adjacent_sum_case(v1: Point, m1: Point, v2: Point, m2: Point) -> tuple:
     # decide claim-relevant cells first: pendants and intervals of both
     # members (in-branches prune instantly there), then the cells that fix
     # pendant tiers; certificate locks then kill every branch early
@@ -480,14 +461,7 @@ def _adjacent_sum_case(
 
         return safe, fails
 
-    return _run_case(
-        3,
-        [v1, m1, v2, m2],
-        [(v1, m1), (v2, m2)],
-        make,
-        node_budget,
-        early_cells=early,
-    )
+    return 3, [(v1, m1), (v2, m2)], make, early
 
 
 def check_adjacent_sum(node_budget: int | None = None) -> LemmaVerdict:
@@ -499,29 +473,14 @@ def check_adjacent_sum(node_budget: int | None = None) -> LemmaVerdict:
     rates are never negative, so those cases cannot refute the claim.  Both
     the horizontal placement and its 90-degree rotation are checked.
     """
-    start = time.perf_counter()
-    total = 0
+    cases = []
     for rotate in (False, True):
         tf = _rotate90 if rotate else (lambda p: p)
         v1, v2 = tf((1, 0)), tf((-1, 0))
         for m1_raw in ((2, 1), (2, -1)):
             for m2_raw in ((-2, 1), (-2, -1)):
-                m1, m2 = tf(m1_raw), tf(m2_raw)
-                verdict, configs, witness = _adjacent_sum_case(
-                    v1, m1, v2, m2, node_budget
-                )
-                total += configs
-                if verdict != "holds":
-                    return LemmaVerdict(
-                        "adjacent-sum",
-                        verdict,
-                        total,
-                        1000 * (time.perf_counter() - start),
-                        witness=None if witness is None else serialize_window(witness),
-                    )
-    return LemmaVerdict(
-        "adjacent-sum", "holds", total, 1000 * (time.perf_counter() - start)
-    )
+                cases.append(_adjacent_sum_case(v1, tf(m1_raw), v2, tf(m2_raw)))
+    return _check("adjacent-sum", cases, node_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +489,6 @@ def check_adjacent_sum(node_budget: int | None = None) -> LemmaVerdict:
 
 def check_all(node_budget: int | None = None) -> list[LemmaVerdict]:
     out = [check_lemma1(part, node_budget) for part in (1, 2, 3)]
-    out.extend(check_r_claims())
+    out.extend(check_r_claims(node_budget))
     out.append(check_adjacent_sum(node_budget))
     return out

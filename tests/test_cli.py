@@ -213,6 +213,18 @@ def test_check_budget_inconclusive(capsys):
     assert out.splitlines() == ["lemma1.1 inconclusive"]
 
 
+def test_check_r_claims_budget(capsys):
+    code, out, _ = run(capsys, "check", "r-claims", "--node-budget", "181")
+    assert code == 1
+    assert out.splitlines() == ["r-half inconclusive", "r-lowerbound inconclusive"]
+    code, out, _ = run(capsys, "check", "r-claims", "--node-budget", "182")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("r-half holds configs=182 ")
+    assert lines[1].startswith("r-lowerbound holds configs=182 ")
+
+
 # -- discharge ---------------------------------------------------------------
 
 def test_discharge_pipeline1(capsys):

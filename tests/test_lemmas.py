@@ -7,9 +7,9 @@ from kinglpds.discharge import pendant_rate
 from kinglpds.lemmas import (
     _CENTER,
     _FAR_PARTNER,
+    _WindowSearch,
     _count_vectors,
     _pendants_of,
-    _run_case,
     check_adjacent_sum,
     check_all,
     check_lemma1,
@@ -54,11 +54,10 @@ def test_engine_refutes_a_false_claim():
 
         return safe, fails
 
-    verdict, configs, witness = _run_case(
-        2, [_CENTER, _FAR_PARTNER], [(_CENTER, _FAR_PARTNER)], false_hooks
-    )
+    engine = _WindowSearch(2, [(_CENTER, _FAR_PARTNER)])
+    verdict, witness = engine.run(*false_hooks(engine))
     assert verdict == "counterexample"
-    assert configs == 24
+    assert engine.configs == 24
     assert witness is not None
     # the witness really is a counterexample ...
     assert witness.contains(_CENTER) and witness.contains(_FAR_PARTNER)
@@ -73,6 +72,17 @@ def test_node_budget_yields_inconclusive():
     assert v.verdict == "inconclusive"
     assert v.line() == "lemma1.1 inconclusive"
     assert check_adjacent_sum(node_budget=50).verdict == "inconclusive"
+
+
+def test_node_budget_bounds_the_whole_claim():
+    # lemma1.1 runs two cases (4494 + 4451 configs) and adjacent-sum eight;
+    # the budget counts the configs of all of them together
+    assert check_lemma1(1, node_budget=8944).verdict == "inconclusive"
+    v = check_lemma1(1, node_budget=8945)
+    assert (v.verdict, v.configs_examined) == ("holds", 8945)
+    assert check_adjacent_sum(node_budget=4396).verdict == "inconclusive"
+    v = check_adjacent_sum(node_budget=4397)
+    assert (v.verdict, v.configs_examined) == ("holds", 4397)
 
 
 # -- rate arithmetic ---------------------------------------------------------
