@@ -9,6 +9,7 @@ argument or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -72,8 +73,9 @@ def _parse_lattice(text: str) -> LatticeBasis:
 
 
 def _load_source(
-    src: str, x_spec: str | None, bounds: tuple[int, int, int, int] | None
+    src: str, x_spec: str | None, bounds_spec: str | None
 ) -> PeriodicPattern | FiniteWindow:
+    bounds = None if bounds_spec is None else _parse_bounds(bounds_spec)
     if src.startswith("catalog:"):
         name = src[len("catalog:"):]
         x = None
@@ -91,6 +93,8 @@ def _load_source(
             return parse_text(fh.read())
     except OSError as exc:
         raise CliError(f"cannot read {src}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise CliError(f"cannot read {src}: not UTF-8 text") from exc
     except PatternFormatError as exc:
         raise CliError(str(exc)) from exc
 
@@ -280,11 +284,11 @@ def _add_source(sub, with_bounds: bool = False) -> None:
     if with_bounds:
         sub.add_argument(
             "--bounds",
-            type=_parse_bounds,
             help='window bounds "x=[a..b] y=[c..d]" for explicit-X catalog sources',
         )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kinglpds",
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("catalog", help="emit a catalog construction")
     p.add_argument("name", help="L1, L2, or LX")
     p.add_argument("--x", help="X spec for LX")
-    p.add_argument("--bounds", type=_parse_bounds, help="bounds for explicit X")
+    p.add_argument("--bounds", help="bounds for explicit X")
     p.set_defaults(func=_cmd_catalog)
 
     p = subs.add_parser("search", help="minimum members per fundamental domain")

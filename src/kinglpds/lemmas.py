@@ -126,11 +126,17 @@ class _WindowSearch:
             for i, p in enumerate(self.cells)
             if max(abs(p[0]), abs(p[1])) < radius
         ]
-        position = {i: pos for pos, i in enumerate(self.order)}
+        position = [0] * len(self.cells)
+        for pos, i in enumerate(self.order):
+            position[i] = pos
         self.locks_at: list[list[int]] = [[] for _ in self.order]
         for dep in locks(rows, {i for i, _ in rows}):
             if not dep & self.in_mask:
-                last = max(pos for i, pos in position.items() if dep >> i & 1)
+                last, d = 0, dep
+                while d:
+                    low = d & -d
+                    last = max(last, position[low.bit_length() - 1])
+                    d ^= low
                 self.locks_at[last].append(dep)
 
     # -- state reads for hooks ----------------------------------------------
@@ -191,9 +197,13 @@ class _WindowSearch:
         bit = 1 << i
 
         self.out_mask |= bit
-        locked = any(self.out_mask & dep == dep for dep in self.locks_at[pos])
-        if not locked and not safe(self):
-            self._dfs(pos + 1, safe, fails)
+        out = self.out_mask
+        for dep in self.locks_at[pos]:
+            if out & dep == dep:
+                break
+        else:
+            if not safe(self):
+                self._dfs(pos + 1, safe, fails)
         self.out_mask ^= bit
 
         self.in_mask |= bit
@@ -253,11 +263,20 @@ def _part1_hooks(v: Point, m: Point):
         nc = engine.ncount
 
         def safe(e: _WindowSearch) -> bool:
-            can = sum(1 for i in pend if not e.is_in(i) and nc[i] == 1)
+            inm = e.in_mask
+            can = 0
+            for i in pend:
+                if nc[i] == 1 and not inm >> i & 1:
+                    can += 1
             return can <= 1
 
         def fails(e: _WindowSearch) -> bool:
-            return sum(1 for i in pend if e.is_out(i) and nc[i] == 1) >= 2
+            out = e.out_mask
+            t1 = 0
+            for i in pend:
+                if nc[i] == 1 and out >> i & 1:
+                    t1 += 1
+            return t1 >= 2
 
         return safe, fails
 
@@ -271,13 +290,23 @@ def _part2_hooks(v: Point, m: Point):
         assert all(nc[i] >= 2 for i in intv), "interval cells must see the fixed pair"
 
         def safe(e: _WindowSearch) -> bool:
-            can2 = sum(1 for i in intv if not e.is_in(i) and nc[i] == 2)
+            inm = e.in_mask
+            can2 = 0
+            for i in intv:
+                if nc[i] == 2 and not inm >> i & 1:
+                    can2 += 1
             return can2 <= 1
 
         def fails(e: _WindowSearch) -> bool:
-            t1 = any(e.is_out(i) and nc[i] == 1 for i in intv)
-            t2 = sum(1 for i in intv if e.is_out(i) and nc[i] == 2)
-            return t1 or t2 >= 2
+            out = e.out_mask
+            t2 = 0
+            for i in intv:
+                if out >> i & 1:
+                    if nc[i] == 1:
+                        return True
+                    if nc[i] == 2:
+                        t2 += 1
+            return t2 >= 2
 
         return safe, fails
 
@@ -287,13 +316,24 @@ def _part2_hooks(v: Point, m: Point):
 def _part3_hooks(v: Point, m: Point):
     def make(engine: _WindowSearch):
         pend = [engine.index[p] for p in _pendants_of(v, m)]
+        pend_mask = sum(1 << i for i in pend)
         nc = engine.ncount
 
         def safe(e: _WindowSearch) -> bool:
-            return any(e.is_in(i) or nc[i] >= 3 for i in pend)
+            if e.in_mask & pend_mask:
+                return True
+            for i in pend:
+                if nc[i] >= 3:
+                    return True
+            return False
 
         def fails(e: _WindowSearch) -> bool:
-            return all(e.is_out(i) and nc[i] <= 2 for i in pend)
+            if e.out_mask & pend_mask != pend_mask:
+                return False
+            for i in pend:
+                if nc[i] >= 3:
+                    return False
+            return True
 
         return safe, fails
 
@@ -314,6 +354,10 @@ def check_lemma1(part: int, node_budget: int | None = None) -> LemmaVerdict:
     diagonal pairs only and needs the larger window because refutations are
     excluded by certificates among second-ring cells.
     """
+    return _check(f"lemma1.{part}", _lemma1_cases(part), node_budget)
+
+
+def _lemma1_cases(part: int) -> list[tuple]:
     if part == 1:
         cases = [(_FAR_PARTNER, 2, _part1_hooks), (_CLOSE_PARTNER, 2, _part1_hooks)]
     elif part == 2:
@@ -322,11 +366,7 @@ def check_lemma1(part: int, node_budget: int | None = None) -> LemmaVerdict:
         cases = [(_FAR_PARTNER, 3, _part3_hooks)]
     else:
         raise ValueError(f"unknown part {part}")
-    return _check(
-        f"lemma1.{part}",
-        [(radius, [(_CENTER, m)], hooks(_CENTER, m), None) for m, radius, hooks in cases],
-        node_budget,
-    )
+    return [(radius, [(_CENTER, m)], hooks(_CENTER, m), None) for m, radius, hooks in cases]
 
 
 # ---------------------------------------------------------------------------
@@ -423,41 +463,56 @@ def _adjacent_sum_case(v1: Point, m1: Point, v2: Point, m2: Point) -> tuple:
         def_i = frozenset(
             idx[p] for p in set(common_neighbors(v1, m1)) | set(common_neighbors(v2, m2))
         )
+        # per side: pendants, intervals, the pendants that can be tier 3
+        # (not an interval of either pair) and the mask of pendants and
+        # intervals, any member of which grants the side the half rate
         sides = []
         for v, m in ((v1, m1), (v2, m2)):
-            sides.append(
-                (
-                    [idx[p] for p in _pendants_of(v, m)],
-                    [idx[p] for p in common_neighbors(v, m)],
-                )
-            )
+            pend = [idx[p] for p in _pendants_of(v, m)]
+            intv = [idx[p] for p in common_neighbors(v, m)]
+            free = [i for i in pend if i not in def_i]
+            sides.append((pend, intv, free, sum(1 << i for i in pend + intv)))
 
-        def side_rate(e: _WindowSearch, pend, intv) -> Fraction:
-            i0 = sum(1 for i in intv if e.is_in(i))
+        def side_rate(inm: int, pend, intv) -> Fraction:
+            i0 = 0
+            for i in intv:
+                if inm >> i & 1:
+                    i0 += 1
             p = [0, 0, 0, 0]
             for i in pend:
-                if e.is_in(i) or i in def_i:
+                if inm >> i & 1 or i in def_i:
                     p[0] += 1
                 else:
                     p[min(nc[i], 3)] += 1
             return pendant_rate("far", i0, p[1], p[2], p[3])
 
-        def side_grant(e: _WindowSearch, pend, intv) -> Fraction:
-            if any(e.is_in(i) for i in pend) or any(e.is_in(i) for i in intv):
-                return HALF
-            p3min = sum(
-                1 for i in pend if e.is_out(i) and nc[i] >= 3 and i not in def_i
-            )
-            can_t1 = sum(1 for i in pend if not e.is_in(i) and nc[i] == 1)
-            if p3min >= 2 and can_t1 <= 1:
-                return Fraction(1, 4)
-            return Fraction(0)
-
         def safe(e: _WindowSearch) -> bool:
-            return sum(side_grant(e, *s) for s in sides) >= HALF
+            # each side's least possible rate in quarters: 2 (the half rate)
+            # with a member pendant or interval, 1 once two decided tier-3
+            # pendants leave at most one possible tier-1 pendant, else 0
+            inm, out = e.in_mask, e.out_mask
+            quarters = 0
+            for pend, _, free, touch in sides:
+                if inm & touch:
+                    quarters += 2
+                    continue
+                p3min = 0
+                for i in free:
+                    if nc[i] >= 3 and out >> i & 1:
+                        p3min += 1
+                if p3min < 2:
+                    continue
+                can_t1 = 0
+                for i in pend:
+                    if nc[i] == 1 and not inm >> i & 1:
+                        can_t1 += 1
+                if can_t1 <= 1:
+                    quarters += 1
+            return quarters >= 2
 
         def fails(e: _WindowSearch) -> bool:
-            return sum(side_rate(e, *s) for s in sides) < HALF
+            inm = e.in_mask
+            return sum(side_rate(inm, pend, intv) for pend, intv, _, _ in sides) < HALF
 
         return safe, fails
 
@@ -473,6 +528,10 @@ def check_adjacent_sum(node_budget: int | None = None) -> LemmaVerdict:
     rates are never negative, so those cases cannot refute the claim.  Both
     the horizontal placement and its 90-degree rotation are checked.
     """
+    return _check("adjacent-sum", _adjacent_sum_cases(), node_budget)
+
+
+def _adjacent_sum_cases() -> list[tuple]:
     cases = []
     for rotate in (False, True):
         tf = _rotate90 if rotate else (lambda p: p)
@@ -480,7 +539,7 @@ def check_adjacent_sum(node_budget: int | None = None) -> LemmaVerdict:
         for m1_raw in ((2, 1), (2, -1)):
             for m2_raw in ((-2, 1), (-2, -1)):
                 cases.append(_adjacent_sum_case(v1, tf(m1_raw), v2, tf(m2_raw)))
-    return _check("adjacent-sum", cases, node_budget)
+    return cases
 
 
 # ---------------------------------------------------------------------------

@@ -407,6 +407,27 @@ def test_bad_window_spec(capsys):
     assert "bad window spec" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["catalog", "LX"], ["density", "catalog:LX"], ["render", "catalog:LX"]]
+)
+@pytest.mark.parametrize(
+    "bounds, message",
+    [("bad", "bad window spec 'bad'"), ("x=[5..1] y=[0..3]", "empty window bounds")],
+)
+def test_bad_bounds_exit_2(capsys, argv, bounds, message):
+    code, out, err = run(capsys, *argv, "--x", "set={0}", "--bounds", bounds)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    src = tmp_path / "w.txt"
+    src.write_bytes(b"window x=[0..2] y=[0..2]\n\xff..\n...\n...\n")
+    code, out, err = run(capsys, "verify", str(src))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot read {src}: not UTF-8 text\n"
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,14 +1,20 @@
 """Local structure claims: exhaustive window checks and rate arithmetic."""
 
+import random
 import re
 from fractions import Fraction
 
+import pytest
+
 from kinglpds.discharge import pendant_rate
+from kinglpds.grid import common_neighbors
 from kinglpds.lemmas import (
     _CENTER,
     _FAR_PARTNER,
     _WindowSearch,
+    _adjacent_sum_cases,
     _count_vectors,
+    _lemma1_cases,
     _pendants_of,
     check_adjacent_sum,
     check_all,
@@ -83,6 +89,122 @@ def test_node_budget_bounds_the_whole_claim():
     assert check_adjacent_sum(node_budget=4396).verdict == "inconclusive"
     v = check_adjacent_sum(node_budget=4397)
     assert (v.verdict, v.configs_examined) == ("holds", 4397)
+
+
+# -- hooks against their definitions ----------------------------------------
+# Each claim's (safe, fails) as first written: one is_in/is_out call per cell
+# and Fraction grants.  The engine's hooks read its masks and count quarters;
+# they must agree with these on every state.
+
+def _def_part1(e, pairs):
+    (v, m), = pairs
+    pend = [e.index[p] for p in _pendants_of(v, m)]
+    nc = e.ncount
+    safe = sum(1 for i in pend if not e.is_in(i) and nc[i] == 1) <= 1
+    fails = sum(1 for i in pend if e.is_out(i) and nc[i] == 1) >= 2
+    return safe, fails
+
+
+def _def_part2(e, pairs):
+    (v, m), = pairs
+    intv = [e.index[p] for p in common_neighbors(v, m)]
+    nc = e.ncount
+    safe = sum(1 for i in intv if not e.is_in(i) and nc[i] == 2) <= 1
+    t1 = any(e.is_out(i) and nc[i] == 1 for i in intv)
+    t2 = sum(1 for i in intv if e.is_out(i) and nc[i] == 2)
+    return safe, t1 or t2 >= 2
+
+
+def _def_part3(e, pairs):
+    (v, m), = pairs
+    pend = [e.index[p] for p in _pendants_of(v, m)]
+    nc = e.ncount
+    safe = any(e.is_in(i) or nc[i] >= 3 for i in pend)
+    fails = all(e.is_out(i) and nc[i] <= 2 for i in pend)
+    return safe, fails
+
+
+def _def_adjacent_sum(e, pairs):
+    idx, nc = e.index, e.ncount
+    def_i = {idx[p] for v, m in pairs for p in common_neighbors(v, m)}
+    sides = [
+        ([idx[p] for p in _pendants_of(v, m)], [idx[p] for p in common_neighbors(v, m)])
+        for v, m in pairs
+    ]
+
+    def side_rate(pend, intv):
+        i0 = sum(1 for i in intv if e.is_in(i))
+        p = [0, 0, 0, 0]
+        for i in pend:
+            if e.is_in(i) or i in def_i:
+                p[0] += 1
+            else:
+                p[min(nc[i], 3)] += 1
+        return pendant_rate("far", i0, p[1], p[2], p[3])
+
+    def side_grant(pend, intv):
+        if any(e.is_in(i) for i in pend) or any(e.is_in(i) for i in intv):
+            return HALF
+        p3min = sum(1 for i in pend if e.is_out(i) and nc[i] >= 3 and i not in def_i)
+        can_t1 = sum(1 for i in pend if not e.is_in(i) and nc[i] == 1)
+        if p3min >= 2 and can_t1 <= 1:
+            return Fraction(1, 4)
+        return Fraction(0)
+
+    safe = sum(side_grant(*s) for s in sides) >= HALF
+    fails = sum(side_rate(*s) for s in sides) < HALF
+    return safe, fails
+
+
+def _random_states(engine, rng, count):
+    """Set the undecided cells in, out or undecided at random, ``count`` times.
+
+    ``ncount`` is updated in place through ``nbr_idx``, as ``_dfs`` does, so
+    the hooks (which hold the list) see each state.  Some states decide a
+    prefix of the search order, as the search does, others a random subset;
+    some are complete leaves.
+    """
+    base_in, base_nc = engine.in_mask, list(engine.ncount)
+    for n in range(count):
+        engine.in_mask, engine.out_mask = base_in, 0
+        engine.ncount[:] = base_nc
+        p_in = rng.uniform(0.1, 0.6)
+        cut = len(engine.order) if n % 3 else rng.randrange(len(engine.order) + 1)
+        p_open = 0.0 if n % 5 == 0 else rng.uniform(0.0, 0.5)
+        for pos, i in enumerate(engine.order):
+            if pos >= cut or rng.random() < p_open:
+                continue
+            if rng.random() < p_in:
+                engine.in_mask |= 1 << i
+                for j in engine.nbr_idx[i]:
+                    engine.ncount[j] += 1
+            else:
+                engine.out_mask |= 1 << i
+        yield
+
+
+@pytest.mark.parametrize(
+    "target, cases, definition",
+    [
+        ("lemma1.1", _lemma1_cases(1), _def_part1),
+        ("lemma1.2", _lemma1_cases(2), _def_part2),
+        ("lemma1.3", _lemma1_cases(3), _def_part3),
+        ("adjacent-sum", _adjacent_sum_cases(), _def_adjacent_sum),
+    ],
+)
+def test_hooks_equal_their_definitions(target, cases, definition):
+    rng = random.Random(target)
+    seen = set()
+    for radius, forced_pairs, make_hooks, early_cells in cases:
+        engine = _WindowSearch(radius, forced_pairs, None, early_cells)
+        safe, fails = make_hooks(engine)
+        for _ in _random_states(engine, rng, 400):
+            got = (safe(engine), fails(engine))
+            assert got == definition(engine, forced_pairs), (target, forced_pairs)
+            seen.add(got)
+    # both answers of each hook occur, so the comparison is not vacuous
+    assert {s for s, _ in seen} == {True, False}
+    assert {f for _, f in seen} == {True, False}
 
 
 # -- rate arithmetic ---------------------------------------------------------
