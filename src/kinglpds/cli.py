@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import re
 import sys
 from fractions import Fraction
 
-from .discharge import DischargeError, run_pipeline
+from .discharge import UNIT, DischargeError, run_pipeline
 from .grid import Point
 from .lemmas import LemmaVerdict, check_adjacent_sum, check_all, check_lemma1, check_r_claims
 from .pattern import (
@@ -75,15 +76,20 @@ def _parse_lattice(text: str) -> LatticeBasis:
 def _load_source(
     src: str, x_spec: str | None, bounds_spec: str | None
 ) -> PeriodicPattern | FiniteWindow:
+    name = src[len("catalog:"):] if src.startswith("catalog:") else None
+    is_lx = name is not None and name.strip().upper() == "LX"
+    if x_spec is not None and not is_lx:
+        raise CliError("--x applies only to catalog:LX")
+    x = None
+    if x_spec is not None:
+        try:
+            x = XDescriptor.from_text(x_spec)
+        except (ValueError, PatternFormatError) as exc:
+            raise CliError(str(exc)) from exc
+    if bounds_spec is not None and (not is_lx or (x is not None and x.periodic)):
+        raise CliError("--bounds applies only to catalog:LX with an explicit X (set={...})")
     bounds = None if bounds_spec is None else _parse_bounds(bounds_spec)
-    if src.startswith("catalog:"):
-        name = src[len("catalog:"):]
-        x = None
-        if x_spec is not None:
-            try:
-                x = XDescriptor.from_text(x_spec)
-            except (ValueError, PatternFormatError) as exc:
-                raise CliError(str(exc)) from exc
+    if name is not None:
         try:
             return catalog(name, x=x, bounds=bounds)
         except ValueError as exc:
@@ -101,6 +107,12 @@ def _load_source(
 
 def _frac(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+def _frac_units(n: int) -> str:
+    """``n``/UNIT in lowest terms, as ``_frac`` prints it."""
+    g = math.gcd(n, UNIT)
+    return f"{n // g}/{UNIT // g}"
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +231,7 @@ def _cmd_discharge(args) -> int:
     cells = report.classification.pattern.basis.domain_cells()
     for cell in cells:
         parts = " ".join(
-            f"{label}={_frac(stage.values[cell])}"
+            f"{label}={_frac_units(stage.units[cell])}"
             for label, stage in zip(labels, result.stages)
         )
         print(f"charge ({cell[0]},{cell[1]}) {parts}")

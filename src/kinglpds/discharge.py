@@ -9,7 +9,11 @@ densities.  Two pipelines with different weightings are run; combining their
 inequalities yields the global lower bound 8/37, and each alone pins down the
 minority pair kind once the overall density is known.
 
-All arithmetic is exact (fractions.Fraction throughout).
+All arithmetic is exact.  Charges are counted in whole units of 1/UNIT:
+weights and tier shares need sixths, and the round-2 rate (ch - 1)/p3 has ch
+in halves and p3 <= 5, so UNIT = 2 * lcm(1..5) = 120 holds every amount.
+Fractions appear only where a result is read (``ChargeMap.values``,
+``minimum``, ``total``, ``average``) and in the transfer and rescue records.
 
 Pipeline 1 (weights 14/3 far, 9/2 close): each member hands every non-member
 neighbor with t member neighbors exactly 1/t (t capped at 3).
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
 
 from .grid import Point, neighbors
 from .pattern import PeriodicPattern
@@ -40,6 +45,8 @@ FAR_WEIGHT_1 = Fraction(14, 3)
 CLOSE_WEIGHT_1 = Fraction(9, 2)
 FAR_WEIGHT_2 = Fraction(9, 2)
 CLOSE_WEIGHT_2 = Fraction(5)
+
+UNIT = 120  # charges are whole numbers of 1/UNIT
 
 
 class DischargeError(AssertionError):
@@ -53,16 +60,20 @@ class DischargeError(AssertionError):
 @dataclass
 class ChargeMap:
     stage: str
-    values: dict[Point, Fraction]
+    units: dict[Point, int]  # charge per residue, in 1/UNIT
+
+    @cached_property
+    def values(self) -> dict[Point, Fraction]:
+        return {cell: Fraction(n, UNIT) for cell, n in self.units.items()}
 
     def minimum(self) -> Fraction:
-        return min(self.values.values())
+        return Fraction(min(self.units.values()), UNIT)
 
     def total(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
+        return Fraction(sum(self.units.values()), UNIT)
 
     def average(self) -> Fraction:
-        return self.total() / len(self.values)
+        return Fraction(sum(self.units.values()), UNIT * len(self.units))
 
 
 @dataclass(frozen=True)
@@ -100,7 +111,7 @@ class DischargeResult:
         return self.stages[-1]
 
     def conservation_ok(self) -> bool:
-        totals = {s.total() for s in self.stages}
+        totals = {sum(s.units.values()) for s in self.stages}
         return len(totals) == 1
 
 
@@ -108,11 +119,26 @@ class DischargeResult:
 # shared plumbing
 # ---------------------------------------------------------------------------
 
-def _initial_charges(cls: Classification, far_w: Fraction, close_w: Fraction) -> dict[Point, Fraction]:
-    values = {cell: Fraction(0) for cell in cls.pattern.basis.domain_cells()}
+def _units(x: Fraction) -> int:
+    """``x`` in whole units of 1/UNIT; raises if UNIT does not divide it."""
+    n, rest = divmod(x.numerator * UNIT, x.denominator)
+    if rest:
+        raise DischargeError(f"charge {x} is not a whole number of 1/{UNIT}")
+    return n
+
+
+@cache
+def _amount(n: int) -> Fraction:
+    """The transfer record's amount for ``n`` units."""
+    return Fraction(n, UNIT)
+
+
+def _initial_charges(cls: Classification, far_w: Fraction, close_w: Fraction) -> dict[Point, int]:
+    units = dict.fromkeys(cls.pattern.basis.domain_cells(), 0)
+    far, close = _units(far_w), _units(close_w)
     for v, info in cls.pairs.items():
-        values[v] = far_w if info.kind == "far" else close_w
-    return values
+        units[v] = far if info.kind == "far" else close
+    return units
 
 
 def _world_partner(cls: Classification, p: Point) -> Point:
@@ -136,20 +162,20 @@ def _check_average(cls: Classification, charges: ChargeMap, far_w, close_w) -> N
 
 def first_pipeline(cls: Classification) -> DischargeResult:
     """Single-round redistribution: 1/tier to every dominated non-member."""
-    basis = cls.pattern.basis
-    member = cls.pattern.contains
+    reduce = cls.pattern.basis.reduce
+    base = cls.pattern.base
     ch0 = _initial_charges(cls, FAR_WEIGHT_1, CLOSE_WEIGHT_1)
     ch1 = dict(ch0)
     trace = []
     for v in cls.pairs:
         for u in neighbors(v):
-            if member(u):
+            r = reduce(u)
+            if r in base:
                 continue
-            t = cls.nonmembers[basis.reduce(u)].tier
-            amt = Fraction(1, t)
-            ch1[v] -= amt
-            ch1[basis.reduce(u)] += amt
-            trace.append(Transfer("tier-share", v, u, amt))
+            n = UNIT // cls.nonmembers[r].tier
+            ch1[v] -= n
+            ch1[r] += n
+            trace.append(Transfer("tier-share", v, u, _amount(n)))
 
     result = DischargeResult(
         pipeline=1,
@@ -160,10 +186,9 @@ def first_pipeline(cls: Classification) -> DischargeResult:
     if not result.conservation_ok():
         raise DischargeError("pipeline 1 total charge not conserved")
     _check_average(cls, result.initial, FAR_WEIGHT_1, CLOSE_WEIGHT_1)
-    low = result.final.minimum()
-    if low < 1:
+    if min(ch1.values()) < UNIT:
         worst = min(ch1, key=lambda c: ch1[c])
-        raise DischargeError(f"pipeline 1 final charge {low} < 1 at {worst}")
+        raise DischargeError(f"pipeline 1 final charge {result.final.minimum()} < 1 at {worst}")
     return result
 
 
@@ -185,63 +210,74 @@ def pendant_rate(kind: str, i0: int, p1: int, p2: int, p3: int) -> Fraction:
     return min((ch - 1) / p3, HALF)
 
 
+@cache
+def _rate_units(kind: str, i0: int, p1: int, p2: int, p3: int) -> int:
+    return _units(pendant_rate(kind, i0, p1, p2, p3))
+
+
 def second_pipeline(cls: Classification) -> DischargeResult:
-    basis = cls.pattern.basis
-    member = cls.pattern.contains
-    reduce = basis.reduce
+    reduce = cls.pattern.basis.reduce
+    base = cls.pattern.base
     ch2 = _initial_charges(cls, FAR_WEIGHT_2, CLOSE_WEIGHT_2)
     trace = []
+    half_units = UNIT // 2
+    one, half = _amount(UNIT), _amount(half_units)
 
     # round 1: intervals and tier-1/2 pendants
     ch3 = dict(ch2)
     for v, info in cls.pairs.items():
         for u in info.intervals:
-            if not member(u):
-                ch3[v] -= HALF
-                ch3[reduce(u)] += HALF
-                trace.append(Transfer("interval-half", v, u, HALF))
+            r = reduce(u)
+            if r not in base:
+                ch3[v] -= half_units
+                ch3[r] += half_units
+                trace.append(Transfer("interval-half", v, u, half))
         for u in info.pendant_split[1]:
-            ch3[v] -= 1
-            ch3[reduce(u)] += 1
-            trace.append(Transfer("pendant-unit", v, u, Fraction(1)))
+            ch3[v] -= UNIT
+            ch3[reduce(u)] += UNIT
+            trace.append(Transfer("pendant-unit", v, u, one))
         for u in info.pendant_split[2]:
-            ch3[v] -= HALF
-            ch3[reduce(u)] += HALF
-            trace.append(Transfer("pendant-half", v, u, HALF))
+            ch3[v] -= half_units
+            ch3[reduce(u)] += half_units
+            trace.append(Transfer("pendant-half", v, u, half))
 
     # round 2: tier-3 pendants at the member's own rate
     ch4 = dict(ch3)
     for v, info in cls.pairs.items():
-        rate = pendant_rate(info.kind, info.i0, info.p1, info.p2, info.p3)
+        rate = _rate_units(info.kind, info.i0, info.p1, info.p2, info.p3)
+        amount = _amount(rate)
         for u in info.pendant_split[3]:
             ch4[v] -= rate
             ch4[reduce(u)] += rate
-            trace.append(Transfer("pendant-rate", v, u, rate))
+            trace.append(Transfer("pendant-rate", v, u, amount))
 
     for v in cls.pairs:
-        if ch4[v] < 1:
-            raise DischargeError(f"member {v} below 1 after round 2: {ch4[v]}")
+        if ch4[v] < UNIT:
+            raise DischargeError(f"member {v} below 1 after round 2: {Fraction(ch4[v], UNIT)}")
     for u, info in cls.nonmembers.items():
-        if (info.in_interval or info.tier <= 2) and ch4[u] < 1:
-            raise DischargeError(f"non-member {u} (tier {info.tier}) below 1 after round 2: {ch4[u]}")
+        if (info.in_interval or info.tier <= 2) and ch4[u] < UNIT:
+            raise DischargeError(
+                f"non-member {u} (tier {info.tier}) below 1 after round 2: {Fraction(ch4[u], UNIT)}"
+            )
 
     # round 3: rescue the deficient tier-3 vertices outside the interval set
     ch5 = dict(ch4)
     assignments = []
     for u0 in cls.tier3_outside_interval():
-        if ch4[u0] >= 1:
+        if ch4[u0] >= UNIT:
             continue
         case, rich, amount = _classify_deficient(cls, u0)
         rich_rep = reduce(rich)
-        ch5[rich_rep] -= amount
-        ch5[u0] += amount
+        n = _units(amount)
+        ch5[rich_rep] -= n
+        ch5[u0] += n
         assignments.append(DeficientAssignment(u0, case, rich, amount))
         # trace the payment from the rich representative to its own deficient
         # translate, keeping source-pays-target semantics
         lam = (rich_rep[0] - rich[0], rich_rep[1] - rich[1])
         trace.append(Transfer("rescue", rich_rep, (u0[0] + lam[0], u0[1] + lam[1]), amount))
     for a in assignments:
-        if ch5[reduce(a.rich_friend)] < 1:
+        if ch5[reduce(a.rich_friend)] < UNIT:
             raise DischargeError(
                 f"rich vertex {a.rich_friend} dropped below 1 rescuing {a.deficient}"
             )
@@ -261,10 +297,9 @@ def second_pipeline(cls: Classification) -> DischargeResult:
     if not result.conservation_ok():
         raise DischargeError("pipeline 2 total charge not conserved")
     _check_average(cls, result.initial, FAR_WEIGHT_2, CLOSE_WEIGHT_2)
-    low = result.final.minimum()
-    if low < 1:
+    if min(ch5.values()) < UNIT:
         worst = min(ch5, key=lambda c: ch5[c])
-        raise DischargeError(f"pipeline 2 final charge {low} < 1 at {worst}")
+        raise DischargeError(f"pipeline 2 final charge {result.final.minimum()} < 1 at {worst}")
     return result
 
 

@@ -390,63 +390,74 @@ class Classification:
         return problems
 
 
+def _pair_slots(step: Point) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    """Kind, pendant slots and interval slots of a member whose partner is at ``step``.
+
+    Slots are ``BLOCK`` indices, sorted by the offset they name.
+    """
+    origin = (0, 0)
+    common = common_neighbors(origin, step)
+    pend = neighbors(origin) - closed_neighborhood(step)
+    kind = "far" if len(common) == 2 else "close"
+    assert (len(pend), len(common)) == ((5, 2) if kind == "far" else (3, 4))
+    slots = lambda offsets: tuple(BLOCK.index(d) for d in sorted(offsets))
+    return kind, slots(pend), slots(common)
+
+
+_PAIR_SLOTS = {step: _pair_slots(step) for step in sorted(neighbors((0, 0)))}
+
+
 def classify(pattern: PeriodicPattern, matching: Matching) -> Classification:
-    member = cache(pattern.contains)
-    basis = pattern.basis
-
-    interval_residues = set()
-    raw: dict[Point, tuple[Point, str, tuple[Point, ...], tuple[Point, ...]]] = {}
+    """The taxonomy, read off the torus landing table of the pattern's basis."""
+    cells, land = torus_landing(pattern.basis)
+    index = {c: i for i, c in enumerate(cells)}
+    member = [False] * len(cells)
+    tier = [0] * len(cells)  # member count over each cell's OPEN slots
+    raw = []
+    interval_idx = set()
     for v in pattern.base:
+        row = land[index[v]]
+        member[index[v]] = True
+        for k in OPEN:  # OPEN is symmetric: v is a neighbor of every cell it lands on
+            tier[row[k]] += 1
         mv = matching.world_partner(v)
-        common = common_neighbors(v, mv)
-        kind = "far" if len(common) == 2 else "close"
-        pend = tuple(sorted(set(neighbors(v)) - closed_neighborhood(mv)))
-        intv = tuple(sorted(common))
-        expected = (5, 2) if kind == "far" else (3, 4)
-        assert (len(pend), len(intv)) == expected, f"pendant/interval split broken at {v}"
-        raw[v] = (mv, kind, pend, intv)
-        for u in intv:
-            interval_residues.add(basis.reduce(u))
+        kind, pend, intv = _PAIR_SLOTS[mv[0] - v[0], mv[1] - v[1]]
+        raw.append((v, mv, kind, row, pend, intv))
+        interval_idx.update(row[k] for k in intv)
 
-    tier = lambda u: sum(member(n) for n in neighbors(u))
-    in_interval = lambda u: basis.reduce(u) in interval_residues
-
+    world = lambda v, slots: tuple((v[0] + BLOCK[k][0], v[1] + BLOCK[k][1]) for k in slots)
     pairs: dict[Point, PairInfo] = {}
-    far = close = 0
-    for v, (mv, kind, pend, intv) in raw.items():
+    far = 0
+    for v, mv, kind, row, pend, intv in raw:
+        pendants, intervals = world(v, pend), world(v, intv)
         split: dict[int, list[Point]] = {0: [], 1: [], 2: [], 3: []}
-        for u in pend:
-            if member(u) or in_interval(u):
-                split[0].append(u)
-            else:
-                split[min(tier(u), 3)].append(u)
+        for k, u in zip(pend, pendants):
+            j = row[k]
+            split[0 if member[j] or j in interval_idx else min(tier[j], 3)].append(u)
         pairs[v] = PairInfo(
             member=v,
             partner=mv,
             kind=kind,
-            pendants=pend,
-            intervals=intv,
-            pendant_split={k: tuple(pts) for k, pts in split.items()},
-            interval_members=tuple(u for u in intv if member(u)),
+            pendants=pendants,
+            intervals=intervals,
+            pendant_split={t: tuple(pts) for t, pts in split.items()},
+            interval_members=tuple(u for k, u in zip(intv, intervals) if member[row[k]]),
         )
-        if kind == "far":
-            far += 1
-        else:
-            close += 1
+        far += kind == "far"
 
     nonmembers = {
-        cell: NonMemberInfo(cell, tier(cell), in_interval(cell))
-        for cell in basis.domain_cells()
-        if not member(cell)
+        cell: NonMemberInfo(cell, tier[i], i in interval_idx)
+        for i, cell in enumerate(cells)
+        if not member[i]
     }
-    cells = basis.cells
+    n = len(cells)
     return Classification(
         pattern=pattern,
         pairs=pairs,
         nonmembers=nonmembers,
-        interval_residues=frozenset(interval_residues),
-        d_far=Fraction(far, cells),
-        d_close=Fraction(close, cells),
+        interval_residues=frozenset(cells[i] for i in interval_idx),
+        d_far=Fraction(far, n),
+        d_close=Fraction(len(pairs) - far, n),
     )
 
 

@@ -432,3 +432,25 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["verify", "FILE", "--x", "period=2 bits=10"], "--x"),
+        (["catalog", "L1", "--x", "period=2 bits=10"], "--x"),
+        (["discharge", "catalog:L1", "--x", "period=2 bits=10", "--theorem", "1"], "--x"),
+        (
+            ["density", "catalog:LX", "--x", "period=2 bits=10", "--bounds", "x=[0..9] y=[0..9]"],
+            "--bounds",
+        ),
+        (["density", "FILE", "--bounds", "x=[0..9] y=[0..9]"], "--bounds"),
+    ],
+)
+def test_option_that_would_be_ignored_exits_2(capsys, tmp_path, argv, option):
+    src = tmp_path / "p.txt"
+    src.write_text(serialize_pattern(catalog("L1")))
+    argv = [str(src) if a == "FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {option} applies only to catalog:LX")

@@ -1,16 +1,20 @@
 """Discharge pipelines, deficiency rescue, and the density inequalities."""
 
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
 
 from kinglpds.discharge import (
+    UNIT,
     DischargeError,
     _classify_deficient,
+    _units,
     combined_lower_bound,
     inequality_values,
     minority_thresholds,
+    pendant_rate,
     run_pipeline,
     single_type_bounds,
 )
@@ -75,6 +79,67 @@ def test_pipelines_l2():
 def test_unknown_pipeline_rejected():
     with pytest.raises(ValueError):
         run_pipeline(_cls("L1"), 3)
+
+
+# -- integer charge units ----------------------------------------------------
+
+RESCUE_BASES = (
+    [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 2), (1, 4), (3, 4)],
+    [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2), (2, 3), (4, 4)],
+)
+
+# the transfer rules that lead from the previous stage to each later stage
+STAGE_RULES = {
+    1: {"final": {"tier-share"}},
+    2: {
+        "round1": {"interval-half", "pendant-unit", "pendant-half"},
+        "round2": {"pendant-rate"},
+        "final": {"rescue"},
+    },
+}
+
+
+def _unit_audit_patterns():
+    yield catalog("L1")
+    yield catalog("L2")
+    for period in range(1, 5):
+        for n in range(2 ** period):
+            yield lx_pattern(XDescriptor.from_bits(format(n, f"0{period}b")))
+    for base in RESCUE_BASES:
+        yield PeriodicPattern.make(LatticeBasis((5, 0), (0, 5)), base)
+
+
+def test_integer_charges_equal_their_fraction_replay():
+    rules_seen = set()
+    for pattern in _unit_audit_patterns():
+        cls = verify_lpds(pattern).classification
+        reduce = cls.pattern.basis.reduce
+        for pipeline in (1, 2):
+            res = run_pipeline(cls, pipeline)
+            charges = dict(res.initial.values)
+            for stage in res.stages[1:]:
+                for t in res.trace:
+                    if t.stage in STAGE_RULES[pipeline][stage.stage]:
+                        assert isinstance(t.amount, Fraction)
+                        rules_seen.add(t.stage)
+                        charges[t.source] -= t.amount
+                        charges[reduce(t.target)] += t.amount
+                assert stage.values == charges, (pattern, pipeline, stage.stage)
+            for stage in res.stages:
+                values = stage.values
+                assert stage.total() == sum(values.values())
+                assert stage.minimum() == min(values.values())
+                assert stage.average() == sum(values.values()) / len(values)
+    assert rules_seen == set().union(*STAGE_RULES[1].values(), *STAGE_RULES[2].values())
+
+
+def test_unit_covers_every_rate():
+    for kind, pendants, intervals in (("far", 5, 2), ("close", 3, 4)):
+        for i0, p1, p2, p3 in product(range(intervals + 1), *[range(pendants + 1)] * 3):
+            if p1 + p2 + p3 <= pendants:
+                assert (pendant_rate(kind, i0, p1, p2, p3) * UNIT).denominator == 1
+    with pytest.raises(DischargeError):
+        _units(F(1, 7))
 
 
 # -- density inequalities ----------------------------------------------------

@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
 import kinglpds.verify
-from kinglpds.grid import locks, neighbors
+from kinglpds.grid import closed_neighborhood, common_neighbors, locks, neighbors
 from kinglpds.pattern import (
     FiniteWindow,
     LatticeBasis,
@@ -19,8 +20,12 @@ from kinglpds.pattern import (
 )
 from kinglpds.search import SearchConfig, minimum_lpds
 from kinglpds.verify import (
+    Classification,
+    NonMemberInfo,
+    PairInfo,
     _match_at_period,
     check_domination,
+    classify,
     check_locating,
     find_perfect_matching,
     verify_lpds,
@@ -277,6 +282,104 @@ def test_refinement_lifts_odd_quotient():
     assert r.valid
     assert r.density == Fraction(1, 2)
     assert r.lifted_basis is not None
+
+
+# -- classification on the torus table --------------------------------------
+# The reference reads the definition on world points: neighbor sets, the
+# pattern's membership test and residues through ``basis.reduce``.
+
+def reference_classify(pattern, matching):
+    member = cache(pattern.contains)
+    basis = pattern.basis
+
+    interval_residues = set()
+    raw = {}
+    for v in pattern.base:
+        mv = matching.world_partner(v)
+        common = common_neighbors(v, mv)
+        kind = "far" if len(common) == 2 else "close"
+        pend = tuple(sorted(set(neighbors(v)) - closed_neighborhood(mv)))
+        intv = tuple(sorted(common))
+        expected = (5, 2) if kind == "far" else (3, 4)
+        assert (len(pend), len(intv)) == expected, f"pendant/interval split broken at {v}"
+        raw[v] = (mv, kind, pend, intv)
+        for u in intv:
+            interval_residues.add(basis.reduce(u))
+
+    tier = lambda u: sum(member(n) for n in neighbors(u))
+    in_interval = lambda u: basis.reduce(u) in interval_residues
+
+    pairs = {}
+    far = close = 0
+    for v, (mv, kind, pend, intv) in raw.items():
+        split = {0: [], 1: [], 2: [], 3: []}
+        for u in pend:
+            if member(u) or in_interval(u):
+                split[0].append(u)
+            else:
+                split[min(tier(u), 3)].append(u)
+        pairs[v] = PairInfo(
+            member=v,
+            partner=mv,
+            kind=kind,
+            pendants=pend,
+            intervals=intv,
+            pendant_split={k: tuple(pts) for k, pts in split.items()},
+            interval_members=tuple(u for u in intv if member(u)),
+        )
+        if kind == "far":
+            far += 1
+        else:
+            close += 1
+
+    nonmembers = {
+        cell: NonMemberInfo(cell, tier(cell), in_interval(cell))
+        for cell in basis.domain_cells()
+        if not member(cell)
+    }
+    return Classification(
+        pattern=pattern,
+        pairs=pairs,
+        nonmembers=nonmembers,
+        interval_residues=frozenset(interval_residues),
+        d_far=Fraction(far, basis.cells),
+        d_close=Fraction(close, basis.cells),
+    )
+
+
+def _classify_inputs():
+    yield catalog("L1")
+    yield catalog("L2")
+    for period in range(1, 5):
+        for n in range(2 ** period):
+            yield lx_pattern(XDescriptor.from_bits(format(n, f"0{period}b")))
+    for base in (
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 2), (1, 4), (3, 4)],
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2), (2, 3), (4, 4)],
+    ):
+        yield PeriodicPattern.make(LatticeBasis((5, 0), (0, 5)), base)
+    for u, v in [((6, 0), (0, 3)), ((4, 0), (1, 6)), ((2, 0), (0, 2))]:
+        yield from minimum_lpds(SearchConfig(LatticeBasis(u, v))).optima
+
+
+def test_torus_classify_equals_world_point_definition():
+    lifted = 0
+    for pattern in _classify_inputs():
+        report = verify_lpds(pattern)
+        assert report.valid
+        lifted += report.lifted_basis is not None
+        got = classify(report.matched, report.matching)
+        ref = reference_classify(report.matched, report.matching)
+        assert got.pairs.keys() == ref.pairs.keys()
+        for v, info in ref.pairs.items():
+            assert vars(got.pairs[v]) == vars(info), (pattern, v)
+        assert got.nonmembers.keys() == ref.nonmembers.keys()
+        for u, info in ref.nonmembers.items():
+            assert vars(got.nonmembers[u]) == vars(info), (pattern, u)
+        assert got.interval_residues == ref.interval_residues
+        assert (got.d_far, got.d_close) == (ref.d_far, ref.d_close)
+    # the (2,0)/(0,2) stripes are matched on an index-2 refinement
+    assert lifted
 
 
 # -- finite windows ----------------------------------------------------------
