@@ -249,16 +249,6 @@ def _cmd_discharge(args) -> int:
     return 0 if result.final.minimum() >= 1 else 1
 
 
-def _world_pairs(pattern: PeriodicPattern, window: FiniteWindow, matching):
-    basis = pattern.basis
-    pairs = []
-    for p in sorted(window.points):
-        rep = basis.reduce(p)
-        q = matching.world_partner(rep)
-        pairs.append((p, (q[0] + p[0] - rep[0], q[1] + p[1] - rep[1])))
-    return pairs
-
-
 def _cmd_render(args) -> int:
     obj = _load_source(args.source, args.x, args.bounds)
     pairs = None
@@ -269,9 +259,7 @@ def _cmd_render(args) -> int:
         window = truncate(obj, *bounds)
         report = verify_lpds(obj)
         if report.matching is not None:
-            # the matching is keyed by residues of the matched (possibly
-            # refined) pattern, so reduce window points with that basis
-            pairs = _world_pairs(report.matched, window, report.matching)
+            pairs = [(p, report.matching.partner(p)) for p in sorted(window.points)]
     else:
         window = obj
         if args.window is not None:

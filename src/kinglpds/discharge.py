@@ -148,12 +148,36 @@ def _world_partner(cls: Classification, p: Point) -> Point:
     return (info.partner[0] + p[0] - rep[0], info.partner[1] + p[1] - rep[1])
 
 
-def _check_average(cls: Classification, charges: ChargeMap, far_w, close_w) -> None:
+def _move(ch: dict[Point, int], trace: list, stage: str, v: Point, u: Point, r: Point, n: int):
+    """Move ``n`` units from ``v`` to residue ``r``, recorded as paid to ``u``."""
+    ch[v] -= n
+    ch[r] += n
+    trace.append(Transfer(stage, v, u, _amount(n)))
+
+
+def _checked(pipeline, cls, stages, trace, weights, deficient=()) -> DischargeResult:
+    """The pipeline's result, after the three checks that close every pipeline.
+
+    Total charge is the same at every stage, the initial average equals the
+    weighted pair densities, and no final charge is below 1.
+    """
+    result = DischargeResult(pipeline, cls, stages, trace, list(deficient))
+    if not result.conservation_ok():
+        raise DischargeError(f"pipeline {pipeline} total charge not conserved")
+    far_w, close_w = weights
     expect = far_w * cls.d_far + close_w * cls.d_close
-    if charges.average() != expect:
+    initial = result.initial
+    if initial.average() != expect:
         raise DischargeError(
-            f"average charge drifted: {charges.average()} != {expect} at {charges.stage}"
+            f"average charge drifted: {initial.average()} != {expect} at {initial.stage}"
         )
+    final = result.final.units
+    if min(final.values()) < UNIT:
+        worst = min(final, key=final.get)
+        raise DischargeError(
+            f"pipeline {pipeline} final charge {result.final.minimum()} < 1 at {worst}"
+        )
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -170,26 +194,10 @@ def first_pipeline(cls: Classification) -> DischargeResult:
     for v in cls.pairs:
         for u in neighbors(v):
             r = reduce(u)
-            if r in base:
-                continue
-            n = UNIT // cls.nonmembers[r].tier
-            ch1[v] -= n
-            ch1[r] += n
-            trace.append(Transfer("tier-share", v, u, _amount(n)))
-
-    result = DischargeResult(
-        pipeline=1,
-        classification=cls,
-        stages=[ChargeMap("initial", ch0), ChargeMap("final", ch1)],
-        trace=trace,
-    )
-    if not result.conservation_ok():
-        raise DischargeError("pipeline 1 total charge not conserved")
-    _check_average(cls, result.initial, FAR_WEIGHT_1, CLOSE_WEIGHT_1)
-    if min(ch1.values()) < UNIT:
-        worst = min(ch1, key=lambda c: ch1[c])
-        raise DischargeError(f"pipeline 1 final charge {result.final.minimum()} < 1 at {worst}")
-    return result
+            if r not in base:
+                _move(ch1, trace, "tier-share", v, u, r, UNIT // cls.nonmembers[r].tier)
+    stages = [ChargeMap("initial", ch0), ChargeMap("final", ch1)]
+    return _checked(1, cls, stages, trace, (FAR_WEIGHT_1, CLOSE_WEIGHT_1))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +228,7 @@ def second_pipeline(cls: Classification) -> DischargeResult:
     base = cls.pattern.base
     ch2 = _initial_charges(cls, FAR_WEIGHT_2, CLOSE_WEIGHT_2)
     trace = []
-    half_units = UNIT // 2
-    one, half = _amount(UNIT), _amount(half_units)
+    half = UNIT // 2
 
     # round 1: intervals and tier-1/2 pendants
     ch3 = dict(ch2)
@@ -229,27 +236,18 @@ def second_pipeline(cls: Classification) -> DischargeResult:
         for u in info.intervals:
             r = reduce(u)
             if r not in base:
-                ch3[v] -= half_units
-                ch3[r] += half_units
-                trace.append(Transfer("interval-half", v, u, half))
+                _move(ch3, trace, "interval-half", v, u, r, half)
         for u in info.pendant_split[1]:
-            ch3[v] -= UNIT
-            ch3[reduce(u)] += UNIT
-            trace.append(Transfer("pendant-unit", v, u, one))
+            _move(ch3, trace, "pendant-unit", v, u, reduce(u), UNIT)
         for u in info.pendant_split[2]:
-            ch3[v] -= half_units
-            ch3[reduce(u)] += half_units
-            trace.append(Transfer("pendant-half", v, u, half))
+            _move(ch3, trace, "pendant-half", v, u, reduce(u), half)
 
     # round 2: tier-3 pendants at the member's own rate
     ch4 = dict(ch3)
     for v, info in cls.pairs.items():
         rate = _rate_units(info.kind, info.i0, info.p1, info.p2, info.p3)
-        amount = _amount(rate)
         for u in info.pendant_split[3]:
-            ch4[v] -= rate
-            ch4[reduce(u)] += rate
-            trace.append(Transfer("pendant-rate", v, u, amount))
+            _move(ch4, trace, "pendant-rate", v, u, reduce(u), rate)
 
     for v in cls.pairs:
         if ch4[v] < UNIT:
@@ -268,39 +266,24 @@ def second_pipeline(cls: Classification) -> DischargeResult:
             continue
         case, rich, amount = _classify_deficient(cls, u0)
         rich_rep = reduce(rich)
-        n = _units(amount)
-        ch5[rich_rep] -= n
-        ch5[u0] += n
         assignments.append(DeficientAssignment(u0, case, rich, amount))
         # trace the payment from the rich representative to its own deficient
         # translate, keeping source-pays-target semantics
-        lam = (rich_rep[0] - rich[0], rich_rep[1] - rich[1])
-        trace.append(Transfer("rescue", rich_rep, (u0[0] + lam[0], u0[1] + lam[1]), amount))
+        target = (u0[0] + rich_rep[0] - rich[0], u0[1] + rich_rep[1] - rich[1])
+        _move(ch5, trace, "rescue", rich_rep, target, u0, _units(amount))
     for a in assignments:
         if ch5[reduce(a.rich_friend)] < UNIT:
             raise DischargeError(
                 f"rich vertex {a.rich_friend} dropped below 1 rescuing {a.deficient}"
             )
 
-    result = DischargeResult(
-        pipeline=2,
-        classification=cls,
-        stages=[
-            ChargeMap("initial", ch2),
-            ChargeMap("round1", ch3),
-            ChargeMap("round2", ch4),
-            ChargeMap("final", ch5),
-        ],
-        trace=trace,
-        deficient=assignments,
-    )
-    if not result.conservation_ok():
-        raise DischargeError("pipeline 2 total charge not conserved")
-    _check_average(cls, result.initial, FAR_WEIGHT_2, CLOSE_WEIGHT_2)
-    if min(ch5.values()) < UNIT:
-        worst = min(ch5, key=lambda c: ch5[c])
-        raise DischargeError(f"pipeline 2 final charge {result.final.minimum()} < 1 at {worst}")
-    return result
+    stages = [
+        ChargeMap("initial", ch2),
+        ChargeMap("round1", ch3),
+        ChargeMap("round2", ch4),
+        ChargeMap("final", ch5),
+    ]
+    return _checked(2, cls, stages, trace, (FAR_WEIGHT_2, CLOSE_WEIGHT_2), assignments)
 
 
 # ---------------------------------------------------------------------------

@@ -110,10 +110,6 @@ class LatticeBasis:
         a, _, c = self.hermite
         return [(x, y) for y in range(c) for x in range(a)]
 
-    def canonical(self) -> "LatticeBasis":
-        a, b, c = self.hermite
-        return LatticeBasis((a, 0), (b, c))
-
 
 @lru_cache(maxsize=8)
 def torus_landing(basis: LatticeBasis) -> tuple[list[Point], tuple[tuple[int, ...], ...]]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import networkx as nx
 
@@ -75,7 +75,6 @@ class VerificationReport:
     locating: bool
     paired: bool | None
     matching: "Matching | None" = None
-    matched: PeriodicPattern | None = None  # the pattern the matching lives on
     lifted_basis: LatticeBasis | None = None
     violations: list[ViolationCertificate] = field(default_factory=list)
     density: Fraction | None = None
@@ -89,7 +88,7 @@ class VerificationReport:
         """The taxonomy under the matching, built on first use."""
         if self.matching is None:
             return None
-        return classify(self.matched, self.matching)
+        return classify(self.matching)
 
     def machine_line(self) -> str:
         cls = self.classification
@@ -135,19 +134,22 @@ def _collisions(member, rows, checked):
                 yield i, j, k
 
 
+@lru_cache(maxsize=1)
 def _torus(pattern: PeriodicPattern):
+    """Cells, landing table, membership and isolated cells of the pattern's torus.
+
+    Cached for the last pattern, so the domination and locating checks of one
+    ``verify_lpds`` share a single open-neighbourhood pass.
+    """
     cells, land = torus_landing(pattern.basis)
-    return cells, land, [c in pattern.base for c in cells]
+    member = [c in pattern.base for c in cells]
+    return cells, land, member, _isolated(member, enumerate(land))
 
 
 def check_domination(pattern: PeriodicPattern) -> list[ViolationCertificate]:
     """Certificates for every undominated residue class (empty list = dominating)."""
-    cells, land, member = _torus(pattern)
-    return [
-        ViolationCertificate("undominated", (cells[i],))
-        for i in _isolated(member, enumerate(land))
-        if not member[i]
-    ]
+    cells, _, member, isolated = _torus(pattern)
+    return [ViolationCertificate("undominated", (cells[i],)) for i in isolated if not member[i]]
 
 
 def _normalize_pair(basis: LatticeBasis, u: Point, w: Point) -> tuple[Point, Point]:
@@ -164,8 +166,8 @@ def check_locating(pattern: PeriodicPattern) -> list[ViolationCertificate]:
     Requires domination (raises ValueError otherwise): it justifies both the
     distance-2 locality and skipping same-residue pairs.
     """
-    cells, land, member = _torus(pattern)
-    if any(not member[i] for i in _isolated(member, enumerate(land))):
+    cells, land, member, isolated = _torus(pattern)
+    if any(not member[i] for i in isolated):
         raise ValueError("requires domination")
     keys: dict[tuple[Point, Point], None] = {}
     for i, _, k in _collisions(member, enumerate(land), range(len(cells))):
@@ -180,41 +182,33 @@ def check_locating(pattern: PeriodicPattern) -> list[ViolationCertificate]:
 
 @dataclass
 class Matching:
-    """A periodic perfect matching, stored per member residue.
+    """A periodic perfect matching, stored as one king step per member residue.
 
-    ``partner[r] = (q, off)`` means the vertex at residue representative r is
-    matched with the world vertex q + off; every translate pairs accordingly.
+    ``step[r]`` leads from residue representative r to its partner, and every
+    translate of r pairs along the same step.  ``pattern`` is the pattern the
+    matching lives on: the refined one when the matching was lifted.
     """
 
-    partner: dict[Point, tuple[Point, Point]]
+    pattern: PeriodicPattern
+    step: dict[Point, Point]
 
-    def world_partner(self, r: Point) -> Point:
-        q, off = self.partner[r]
-        return (q[0] + off[0], q[1] + off[1])
+    def partner(self, p: Point) -> Point:
+        """The partner of any world member."""
+        dx, dy = self.step[self.pattern.basis.reduce(p)]
+        return (p[0] + dx, p[1] + dy)
 
-    def pairs(self) -> list[tuple[Point, Point]]:
-        """Each matched pair once, as (residue, world partner)."""
-        out = []
-        for r in sorted(self.partner):
-            q, off = self.partner[r]
-            if r < q:
-                out.append((r, self.world_partner(r)))
-        return out
-
-    def validate(self, pattern: PeriodicPattern) -> None:
-        assert set(self.partner) == set(pattern.base), "matching must cover all residues"
-        for r, (q, off) in self.partner.items():
-            assert r != q, f"residue {r} matched to its own translate"
-            w = (q[0] + off[0], q[1] + off[1])
+    def validate(self) -> None:
+        assert set(self.step) == set(self.pattern.base), "matching must cover all residues"
+        for r, (dx, dy) in self.step.items():
+            w = (r[0] + dx, r[1] + dy)
+            assert self.pattern.basis.reduce(w) != r, f"residue {r} matched to its own translate"
             assert chebyshev(r, w) == 1, f"pair {r}-{w} not adjacent"
-            back_q, back_off = self.partner[q]
-            assert back_q == r and back_off == (-off[0], -off[1]), "partner map is not an involution"
+            assert self.partner(w) == r, "partner map is not an involution"
 
 
 @dataclass
 class MatchingResult:
     matching: Matching | None
-    pattern: PeriodicPattern  # the pattern the matching lives on (possibly refined)
     lifted_basis: LatticeBasis | None = None
     obstruction: str | None = None
     witnesses: tuple[Point, ...] = ()
@@ -258,13 +252,13 @@ def _match_at_period(pattern: PeriodicPattern) -> tuple[Matching | None, tuple[P
     if 2 * len(mates) != len(pattern.base):
         matched = {v for e in mates for v in e}
         return None, tuple(sorted(set(pattern.base) - matched))
-    partner: dict[Point, tuple[Point, Point]] = {}
+    step: dict[Point, Point] = {}
     for r, q in mates:
-        edge_r, edge_q = (r, q) if r < q else (q, r)
-        off = g.edges[edge_r, edge_q]["offset"]
-        partner[edge_r] = (edge_q, off)
-        partner[edge_q] = (edge_r, (-off[0], -off[1]))
-    return Matching(partner), ()
+        r, q = min(r, q), max(r, q)  # stored for r < q: q + offset is a neighbour of r
+        dx, dy = g.edges[r, q]["offset"]
+        step[r] = (q[0] + dx - r[0], q[1] + dy - r[1])
+        step[q] = (-step[r][0], -step[r][1])
+    return Matching(pattern, step), ()
 
 
 def find_perfect_matching(pattern: PeriodicPattern) -> MatchingResult:
@@ -277,8 +271,8 @@ def find_perfect_matching(pattern: PeriodicPattern) -> MatchingResult:
     """
     matching, witnesses = _match_at_period(pattern)
     if matching is not None:
-        matching.validate(pattern)
-        return MatchingResult(matching, pattern)
+        matching.validate()
+        return MatchingResult(matching)
     for refined_basis, rep in _refinements(pattern.basis):
         pts = [p for p in pattern.base] + [
             (p[0] + rep[0], p[1] + rep[1]) for p in pattern.base
@@ -286,14 +280,14 @@ def find_perfect_matching(pattern: PeriodicPattern) -> MatchingResult:
         refined = PeriodicPattern.make(refined_basis, pts)
         m2, _ = _match_at_period(refined)
         if m2 is not None:
-            m2.validate(refined)
-            return MatchingResult(m2, refined, lifted_basis=refined_basis)
+            m2.validate()
+            return MatchingResult(m2, lifted_basis=refined_basis)
     reason = (
         f"odd member count {len(pattern.base)} in fundamental domain"
         if len(pattern.base) % 2
         else "no perfect matching on the loop-free quotient"
     ) + " or its index-2 refinements"
-    return MatchingResult(None, pattern, obstruction=reason, witnesses=witnesses)
+    return MatchingResult(None, obstruction=reason, witnesses=witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +401,9 @@ def _pair_slots(step: Point) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
 _PAIR_SLOTS = {step: _pair_slots(step) for step in sorted(neighbors((0, 0)))}
 
 
-def classify(pattern: PeriodicPattern, matching: Matching) -> Classification:
-    """The taxonomy, read off the torus landing table of the pattern's basis."""
+def classify(matching: Matching) -> Classification:
+    """The taxonomy, read off the torus landing table of the matched pattern's basis."""
+    pattern = matching.pattern
     cells, land = torus_landing(pattern.basis)
     index = {c: i for i, c in enumerate(cells)}
     member = [False] * len(cells)
@@ -420,9 +415,8 @@ def classify(pattern: PeriodicPattern, matching: Matching) -> Classification:
         member[index[v]] = True
         for k in OPEN:  # OPEN is symmetric: v is a neighbor of every cell it lands on
             tier[row[k]] += 1
-        mv = matching.world_partner(v)
-        kind, pend, intv = _PAIR_SLOTS[mv[0] - v[0], mv[1] - v[1]]
-        raw.append((v, mv, kind, row, pend, intv))
+        kind, pend, intv = _PAIR_SLOTS[matching.step[v]]
+        raw.append((v, matching.partner(v), kind, row, pend, intv))
         interval_idx.update(row[k] for k in intv)
 
     world = lambda v, slots: tuple((v[0] + BLOCK[k][0], v[1] + BLOCK[k][1]) for k in slots)
@@ -487,7 +481,6 @@ def verify_lpds(pattern: PeriodicPattern) -> VerificationReport:
         locating=locating,
         paired=paired,
         matching=mres.matching,
-        matched=mres.pattern,
         lifted_basis=mres.lifted_basis,
         violations=violations,
         density=pattern.density,

@@ -375,6 +375,19 @@ def test_render_svg(capsys):
     assert 'stroke="#d62828"' in out  # pair segments
 
 
+def test_render_svg_draws_pairs_of_a_lifted_matching(capsys, tmp_path):
+    # full rows at even y pair up only at twice the period: {2i-1, 2i} along
+    # each row, so the 6 members of a row in x=[0..5] hold 2 whole pairs
+    src = tmp_path / "p.txt"
+    src.write_text("lattice u=(1,0) v=(0,2)\nbase (0,0)\n")
+    code, out, _ = run(
+        capsys, "render", str(src), "--window", "x=[0..5] y=[0..3]", "--format", "svg"
+    )
+    assert code == 0
+    assert out.count('fill="#1f3a5f"') == 12
+    assert out.count('stroke="#d62828"') == 4
+
+
 def test_render_window_subclip(capsys, tmp_path):
     src = tmp_path / "w.txt"
     rows = ["X......", ".......", ".......", "...X...", ".......", ".......", "......X"]

@@ -7,7 +7,7 @@ from functools import cache
 import pytest
 
 import kinglpds.verify
-from kinglpds.grid import closed_neighborhood, common_neighbors, locks, neighbors
+from kinglpds.grid import chebyshev, closed_neighborhood, common_neighbors, locks, neighbors
 from kinglpds.pattern import (
     FiniteWindow,
     LatticeBasis,
@@ -78,8 +78,7 @@ def test_matching_existence_matches_oracle_on_catalog():
         assert count_perfect_matchings(nodes, adj) > 0
         matching, _ = _match_at_period(p)
         assert matching is not None
-        matching.validate(p)
-        assert len(matching.pairs()) == len(p.base) // 2
+        matching.validate()
 
 
 def test_matching_existence_matches_oracle_on_random_patterns():
@@ -96,7 +95,7 @@ def test_matching_existence_matches_oracle_on_random_patterns():
         matching, witnesses = _match_at_period(p)
         assert (matching is not None) == oracle_has
         if matching is not None:
-            matching.validate(p)
+            matching.validate()
         else:
             assert witnesses
             full = find_perfect_matching(p)
@@ -239,15 +238,37 @@ def test_classification_waits_for_first_use(monkeypatch):
     calls = []
     original = kinglpds.verify.classify
 
-    def counting(pattern, matching):
-        calls.append(pattern)
-        return original(pattern, matching)
+    def counting(matching):
+        calls.append(matching.pattern)
+        return original(matching)
 
     monkeypatch.setattr(kinglpds.verify, "classify", counting)
     minimum_lpds(SearchConfig(LatticeBasis((6, 0), (0, 3))))
     assert calls == []
     verify_lpds(catalog("L2")).machine_line()
     assert len(calls) == 1
+
+
+def test_verify_lpds_scans_the_torus_once(monkeypatch):
+    calls = []
+    original = kinglpds.verify._isolated
+
+    def counting(member, rows):
+        calls.append(member)
+        return original(member, rows)
+
+    monkeypatch.setattr(kinglpds.verify, "_isolated", counting)
+    cols = PeriodicPattern.make(LatticeBasis((3, 0), (0, 1)), [(0, 0)])
+    for pattern, valid in ((catalog("L2"), True), (cols, False)):
+        kinglpds.verify._torus.cache_clear()
+        calls.clear()
+        assert verify_lpds(pattern).valid is valid
+        assert len(calls) == 1
+    # on its own, the locating check still insists on domination
+    sparse = PeriodicPattern.make(LatticeBasis((4, 0), (0, 4)), [(0, 0), (1, 0)])
+    assert check_domination(sparse)
+    with pytest.raises(ValueError, match="requires domination"):
+        check_locating(sparse)
 
 
 def test_dominating_but_not_locating():
@@ -284,6 +305,34 @@ def test_refinement_lifts_odd_quotient():
     assert r.lifted_basis is not None
 
 
+# -- partners of world members -----------------------------------------------
+
+def test_matching_partner_answers_for_every_world_member():
+    stripes = PeriodicPattern.make(LatticeBasis((1, 0), (0, 2)), [(0, 0)])
+    patterns = [catalog("L1"), catalog("L2"), lx_pattern(XDescriptor.from_bits("101")), stripes]
+    for base in (  # the two rescue patterns
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 2), (1, 4), (3, 4)],
+        [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (1, 2), (2, 3), (4, 4)],
+    ):
+        patterns.append(PeriodicPattern.make(LatticeBasis((5, 0), (0, 5)), base))
+    for pattern in patterns:
+        report = verify_lpds(pattern)
+        matching = report.matching
+        assert (report.lifted_basis is not None) == (pattern is stripes)
+        members = [
+            (x, y) for x in range(-7, 8) for y in range(-7, 8) if pattern.contains((x, y))
+        ]
+        assert members
+        for p in members:
+            q = matching.partner(p)
+            assert pattern.contains(q) and chebyshev(p, q) == 1, (pattern, p, q)
+            assert matching.partner(q) == p, (pattern, p, q)
+        pairs = report.classification.pairs
+        assert pairs.keys() == matching.pattern.base
+        for r, info in pairs.items():
+            assert matching.partner(r) == info.partner, (pattern, r)
+
+
 # -- classification on the torus table --------------------------------------
 # The reference reads the definition on world points: neighbor sets, the
 # pattern's membership test and residues through ``basis.reduce``.
@@ -295,7 +344,7 @@ def reference_classify(pattern, matching):
     interval_residues = set()
     raw = {}
     for v in pattern.base:
-        mv = matching.world_partner(v)
+        mv = matching.partner(v)
         common = common_neighbors(v, mv)
         kind = "far" if len(common) == 2 else "close"
         pend = tuple(sorted(set(neighbors(v)) - closed_neighborhood(mv)))
@@ -368,8 +417,8 @@ def test_torus_classify_equals_world_point_definition():
         report = verify_lpds(pattern)
         assert report.valid
         lifted += report.lifted_basis is not None
-        got = classify(report.matched, report.matching)
-        ref = reference_classify(report.matched, report.matching)
+        got = classify(report.matching)
+        ref = reference_classify(report.matching.pattern, report.matching)
         assert got.pairs.keys() == ref.pairs.keys()
         for v, info in ref.pairs.items():
             assert vars(got.pairs[v]) == vars(info), (pattern, v)
