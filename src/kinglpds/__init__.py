@@ -8,7 +8,6 @@ search over fundamental domains.
 
 from .discharge import (
     DischargeError,
-    DischargeResult,
     combined_lower_bound,
     first_pipeline,
     inequality_values,
@@ -59,8 +58,6 @@ from .search import (
 from .verify import (
     Classification,
     Matching,
-    VerificationReport,
-    ViolationCertificate,
     check_domination,
     check_locating,
     classify,
@@ -94,8 +91,6 @@ __all__ = [
     "parse_text",
     "serialize_pattern",
     "serialize_window",
-    "VerificationReport",
-    "ViolationCertificate",
     "Matching",
     "Classification",
     "check_domination",
@@ -105,7 +100,6 @@ __all__ = [
     "verify_lpds",
     "verify_window",
     "DischargeError",
-    "DischargeResult",
     "first_pipeline",
     "second_pipeline",
     "run_pipeline",

@@ -33,11 +33,19 @@ from .pattern import (
 )
 from .render import render_svg
 from .search import SearchConfig, minimum_lpds
-from .verify import verify_lpds, verify_window
+from .verify import VerificationReport, verify_lpds, verify_window
 
 
 class CliError(Exception):
     """Raised for bad sources or malformed option values (exit 2)."""
+
+
+MAX_CELLS = 1 << 18  # largest box or fundamental domain a command enumerates
+
+
+def _check_size(cells: int, what: str) -> None:
+    if cells > MAX_CELLS:
+        raise CliError(f"{what} has {cells} cells; the limit is {MAX_CELLS}")
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +67,7 @@ def _parse_bounds(text: str) -> tuple[int, int, int, int]:
     x0, x1, y0, y1 = map(int, m.groups())
     if x1 < x0 or y1 < y0:
         raise CliError(f"empty window bounds in {text!r}")
+    _check_size((x1 - x0 + 1) * (y1 - y0 + 1), f"window {text!r}")
     return x0, x1, y0, y1
 
 
@@ -119,10 +128,15 @@ def _frac_units(n: int) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _verify_periodic(pattern: PeriodicPattern) -> VerificationReport:
+    _check_size(pattern.basis.cells, "fundamental domain")
+    return verify_lpds(pattern)
+
+
 def _cmd_verify(args) -> int:
     obj = _load_source(args.source, args.x, None)
     if isinstance(obj, PeriodicPattern):
-        report = verify_lpds(obj)
+        report = _verify_periodic(obj)
     else:
         try:
             report = verify_window(obj)
@@ -215,7 +229,7 @@ def _cmd_discharge(args) -> int:
     obj = _load_source(args.source, args.x, None)
     if not isinstance(obj, PeriodicPattern):
         raise CliError("discharge requires a periodic pattern, not a window")
-    report = verify_lpds(obj)
+    report = _verify_periodic(obj)
     if not report.valid:
         for line in report.lines():
             print(line)
@@ -257,7 +271,7 @@ def _cmd_render(args) -> int:
             raise CliError("rendering a periodic pattern requires --window")
         bounds = _parse_bounds(args.window)
         window = truncate(obj, *bounds)
-        report = verify_lpds(obj)
+        report = _verify_periodic(obj)
         if report.matching is not None:
             pairs = [(p, report.matching.partner(p)) for p in sorted(window.points)]
     else:

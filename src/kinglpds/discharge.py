@@ -36,7 +36,6 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .grid import Point, neighbors
-from .pattern import PeriodicPattern
 from .verify import Classification
 
 HALF = Fraction(1, 2)
@@ -139,13 +138,6 @@ def _initial_charges(cls: Classification, far_w: Fraction, close_w: Fraction) ->
     for v, info in cls.pairs.items():
         units[v] = far if info.kind == "far" else close
     return units
-
-
-def _world_partner(cls: Classification, p: Point) -> Point:
-    """Partner of an arbitrary world member, via its residue representative."""
-    rep = cls.pattern.basis.reduce(p)
-    info = cls.pairs[rep]
-    return (info.partner[0] + p[0] - rep[0], info.partner[1] + p[1] - rep[1])
 
 
 def _move(ch: dict[Point, int], trace: list, stage: str, v: Point, u: Point, r: Point, n: int):
@@ -354,8 +346,8 @@ def _classify_deficient(cls: Classification, u0: Point) -> tuple[str, Point, Fra
             continue
         inv = _invert(mat)
         world = {c: (u0[0] + q[0], u0[1] + q[1]) for c in _CANONICAL_SHAPE for q in [_apply(inv, c)]}
-        m2 = _apply(mat, _rel(u0, _world_partner(cls, world[(1, -1)])))
-        m3 = _apply(mat, _rel(u0, _world_partner(cls, world[(-1, -1)])))
+        m2 = _apply(mat, _rel(u0, cls.matching.partner(world[(1, -1)])))
+        m3 = _apply(mat, _rel(u0, cls.matching.partner(world[(-1, -1)])))
         case = _CASE_TEMPLATES.get((m2, m3))
         if case is None:
             continue
@@ -439,8 +431,12 @@ def minority_thresholds(density: Fraction) -> tuple[Fraction, Fraction]:
 
 
 def single_type_bounds() -> dict[str, Fraction]:
-    """Density needed if every pair had the same kind (either inequality alone)."""
+    """Density needed if every pair had the same kind.
+
+    With one kind only, each inequality reads weight * d >= 1, so the kind's
+    smaller weight gives the stronger bound.
+    """
     return {
-        "all_far": 1 / FAR_WEIGHT_1,  # 3/14
-        "all_close": 1 / CLOSE_WEIGHT_2,  # 1/5
+        "all_far": 1 / min(FAR_WEIGHT_1, FAR_WEIGHT_2),  # 2/9
+        "all_close": 1 / min(CLOSE_WEIGHT_1, CLOSE_WEIGHT_2),  # 2/9
     }

@@ -91,9 +91,7 @@ class VerificationReport:
         return classify(self.matching)
 
     def machine_line(self) -> str:
-        cls = self.classification
-        d1 = cls.d_far if cls else None
-        d2 = cls.d_close if cls else None
+        d1, d2 = self.matching.pair_densities() if self.matching else (None, None)
         paired = "n/a" if self.paired is None else str(self.paired).lower()
         return (
             f"verdict dominated={str(self.dominating).lower()}"
@@ -205,6 +203,12 @@ class Matching:
             assert chebyshev(r, w) == 1, f"pair {r}-{w} not adjacent"
             assert self.partner(w) == r, "partner map is not an involution"
 
+    def pair_densities(self) -> tuple[Fraction, Fraction]:
+        """Densities of the members in far pairs and in close pairs."""
+        far = sum(_PAIR_SLOTS[s][0] == "far" for s in self.step.values())
+        cells = self.pattern.basis.cells
+        return Fraction(far, cells), Fraction(len(self.step) - far, cells)
+
 
 @dataclass
 class MatchingResult:
@@ -298,17 +302,11 @@ def find_perfect_matching(pattern: PeriodicPattern) -> MatchingResult:
 class PairInfo:
     """Everything the discharge pipelines need about one matched member."""
 
-    member: Point
-    partner: Point  # world coordinates
     kind: str  # "far" (diagonal pair) | "close" (orthogonal pair)
     pendants: tuple[Point, ...]  # neighbors of the member not seen by its partner
     intervals: tuple[Point, ...]  # common neighbors of the pair
     pendant_split: dict[int, tuple[Point, ...]]  # 0: in S or interval; 1..3: by tier
-    interval_members: tuple[Point, ...]  # intervals that are themselves members
-
-    @property
-    def p0(self) -> int:
-        return len(self.pendant_split[0])
+    i0: int  # intervals that are themselves members
 
     @property
     def p1(self) -> int:
@@ -322,32 +320,26 @@ class PairInfo:
     def p3(self) -> int:
         return len(self.pendant_split[3])
 
-    @property
-    def i0(self) -> int:
-        return len(self.interval_members)
-
 
 @dataclass
 class NonMemberInfo:
-    vertex: Point
-    member_neighbors: int
+    tier: int  # member neighbors, capped at 3
     in_interval: bool
-
-    @property
-    def tier(self) -> int:
-        return min(self.member_neighbors, 3)
 
 
 @dataclass
 class Classification:
     """Per-residue taxonomy of a verified pattern under a fixed matching."""
 
-    pattern: PeriodicPattern
+    matching: Matching
     pairs: dict[Point, PairInfo]
     nonmembers: dict[Point, NonMemberInfo]
-    interval_residues: frozenset[Point]
     d_far: Fraction
     d_close: Fraction
+
+    @property
+    def pattern(self) -> PeriodicPattern:
+        return self.matching.pattern
 
     @property
     def density(self) -> Fraction:
@@ -416,43 +408,31 @@ def classify(matching: Matching) -> Classification:
         for k in OPEN:  # OPEN is symmetric: v is a neighbor of every cell it lands on
             tier[row[k]] += 1
         kind, pend, intv = _PAIR_SLOTS[matching.step[v]]
-        raw.append((v, matching.partner(v), kind, row, pend, intv))
+        raw.append((v, kind, row, pend, intv))
         interval_idx.update(row[k] for k in intv)
 
     world = lambda v, slots: tuple((v[0] + BLOCK[k][0], v[1] + BLOCK[k][1]) for k in slots)
     pairs: dict[Point, PairInfo] = {}
-    far = 0
-    for v, mv, kind, row, pend, intv in raw:
+    for v, kind, row, pend, intv in raw:
         pendants, intervals = world(v, pend), world(v, intv)
         split: dict[int, list[Point]] = {0: [], 1: [], 2: [], 3: []}
         for k, u in zip(pend, pendants):
             j = row[k]
             split[0 if member[j] or j in interval_idx else min(tier[j], 3)].append(u)
         pairs[v] = PairInfo(
-            member=v,
-            partner=mv,
             kind=kind,
             pendants=pendants,
             intervals=intervals,
             pendant_split={t: tuple(pts) for t, pts in split.items()},
-            interval_members=tuple(u for k, u in zip(intv, intervals) if member[row[k]]),
+            i0=sum(member[row[k]] for k in intv),
         )
-        far += kind == "far"
 
     nonmembers = {
-        cell: NonMemberInfo(cell, tier[i], i in interval_idx)
+        cell: NonMemberInfo(min(tier[i], 3), i in interval_idx)
         for i, cell in enumerate(cells)
         if not member[i]
     }
-    n = len(cells)
-    return Classification(
-        pattern=pattern,
-        pairs=pairs,
-        nonmembers=nonmembers,
-        interval_residues=frozenset(cells[i] for i in interval_idx),
-        d_far=Fraction(far, n),
-        d_close=Fraction(len(pairs) - far, n),
-    )
+    return Classification(matching, pairs, nonmembers, *matching.pair_densities())
 
 
 # ---------------------------------------------------------------------------

@@ -441,6 +441,38 @@ def test_non_utf8_file_exits_2(capsys, tmp_path):
     assert err == f"error: cannot read {src}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["catalog", "LX", "--x", "set={0}", "--bounds", "x=[0..99999] y=[0..99999]"],
+        ["render", "catalog:L1", "--window", "x=[0..99999] y=[0..99999]"],
+        ["verify", "HUGE"],
+        ["discharge", "HUGE", "--theorem", "2"],
+        ["render", "HUGE", "--window", "x=[0..3] y=[0..3]"],
+    ],
+)
+def test_hostile_sizes_exit_2_quickly(capsys, tmp_path, argv):
+    src = tmp_path / "p.txt"
+    src.write_text("lattice u=(100000,0) v=(0,100000)\nbase (0,0) (1,0)\n")
+    argv = [str(src) if a == "HUGE" else a for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "10000000000 cells" in err
+
+
+def test_size_limit_is_inclusive(capsys):
+    # 512 x 512 = 1 << 18 cells is allowed; one more row is not
+    code, out, err = run(capsys, "density", "catalog:LX", "--x", "set={0}",
+                         "--bounds", "x=[0..511] y=[0..511]")
+    assert code == 0 and out.startswith("density ")
+    code, out, err = run(capsys, "density", "catalog:LX", "--x", "set={0}",
+                         "--bounds", "x=[0..511] y=[0..512]")
+    assert (code, out) == (2, "")
+    assert "262656 cells" in err
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -165,13 +165,14 @@ def test_minority_thresholds():
 
 
 def test_single_type_bounds():
-    assert single_type_bounds() == {"all_far": F(3, 14), "all_close": F(1, 5)}
+    assert single_type_bounds() == {"all_far": F(2, 9), "all_close": F(2, 9)}
 
 
 # -- deficient-vertex case analysis (synthetic local configurations) ---------
 # A deficient vertex u0 has three pairwise non-adjacent dominators; we build a
-# stub classification holding only the local membership and partner data on a
-# huge period, so the classifier's geometry can be probed case by case.
+# stub classification holding only the local membership and a stub matching
+# whose partners are read from a dict, so the classifier's geometry can be
+# probed case by case.
 
 U0 = (500, 500)
 
@@ -186,19 +187,18 @@ def _shift(p, mat=None):
 def _stub(partners, extra=(), mat=None, dominators=((0, 1), (1, -1), (-1, -1))):
     """partners: {relative dominator -> relative partner}; extra members."""
     members = set()
-    pairs = {}
+    partner = {}
     for d in dominators:
         members.add(_shift(d, mat))
     for d, p in partners.items():
         wd, wp = _shift(d, mat), _shift(p, mat)
         members.update((wd, wp))
-        pairs[wd] = SimpleNamespace(partner=wp)
+        partner[wd] = wp
     members.update(_shift(e, mat) for e in extra)
-    pattern = SimpleNamespace(
-        basis=LatticeBasis((1000, 0), (0, 1000)),
-        contains=members.__contains__,
+    return SimpleNamespace(
+        pattern=SimpleNamespace(contains=members.__contains__),
+        matching=SimpleNamespace(partner=partner.__getitem__),
     )
-    return SimpleNamespace(pattern=pattern, pairs=pairs)
 
 
 ROT90 = ((0, -1), (1, 0))

@@ -245,7 +245,10 @@ def test_classification_waits_for_first_use(monkeypatch):
     monkeypatch.setattr(kinglpds.verify, "classify", counting)
     minimum_lpds(SearchConfig(LatticeBasis((6, 0), (0, 3))))
     assert calls == []
-    verify_lpds(catalog("L2")).machine_line()
+    report = verify_lpds(catalog("L2"))
+    report.machine_line()
+    assert calls == []
+    report.classification
     assert len(calls) == 1
 
 
@@ -327,10 +330,7 @@ def test_matching_partner_answers_for_every_world_member():
             q = matching.partner(p)
             assert pattern.contains(q) and chebyshev(p, q) == 1, (pattern, p, q)
             assert matching.partner(q) == p, (pattern, p, q)
-        pairs = report.classification.pairs
-        assert pairs.keys() == matching.pattern.base
-        for r, info in pairs.items():
-            assert matching.partner(r) == info.partner, (pattern, r)
+        assert report.classification.pairs.keys() == matching.pattern.base
 
 
 # -- classification on the torus table --------------------------------------
@@ -351,7 +351,7 @@ def reference_classify(pattern, matching):
         intv = tuple(sorted(common))
         expected = (5, 2) if kind == "far" else (3, 4)
         assert (len(pend), len(intv)) == expected, f"pendant/interval split broken at {v}"
-        raw[v] = (mv, kind, pend, intv)
+        raw[v] = (kind, pend, intv)
         for u in intv:
             interval_residues.add(basis.reduce(u))
 
@@ -360,7 +360,7 @@ def reference_classify(pattern, matching):
 
     pairs = {}
     far = close = 0
-    for v, (mv, kind, pend, intv) in raw.items():
+    for v, (kind, pend, intv) in raw.items():
         split = {0: [], 1: [], 2: [], 3: []}
         for u in pend:
             if member(u) or in_interval(u):
@@ -368,13 +368,11 @@ def reference_classify(pattern, matching):
             else:
                 split[min(tier(u), 3)].append(u)
         pairs[v] = PairInfo(
-            member=v,
-            partner=mv,
             kind=kind,
             pendants=pend,
             intervals=intv,
             pendant_split={k: tuple(pts) for k, pts in split.items()},
-            interval_members=tuple(u for u in intv if member(u)),
+            i0=sum(member(u) for u in intv),
         )
         if kind == "far":
             far += 1
@@ -382,15 +380,14 @@ def reference_classify(pattern, matching):
             close += 1
 
     nonmembers = {
-        cell: NonMemberInfo(cell, tier(cell), in_interval(cell))
+        cell: NonMemberInfo(min(tier(cell), 3), in_interval(cell))
         for cell in basis.domain_cells()
         if not member(cell)
     }
     return Classification(
-        pattern=pattern,
+        matching=matching,
         pairs=pairs,
         nonmembers=nonmembers,
-        interval_residues=frozenset(interval_residues),
         d_far=Fraction(far, basis.cells),
         d_close=Fraction(close, basis.cells),
     )
@@ -425,8 +422,8 @@ def test_torus_classify_equals_world_point_definition():
         assert got.nonmembers.keys() == ref.nonmembers.keys()
         for u, info in ref.nonmembers.items():
             assert vars(got.nonmembers[u]) == vars(info), (pattern, u)
-        assert got.interval_residues == ref.interval_residues
         assert (got.d_far, got.d_close) == (ref.d_far, ref.d_close)
+        assert got.matching is report.matching
     # the (2,0)/(0,2) stripes are matched on an index-2 refinement
     assert lifted
 
