@@ -17,7 +17,6 @@ from .discharge import (
     single_type_bounds,
 )
 from .grid import (
-    Point,
     chebyshev,
     closed_neighborhood,
     common_neighbors,
@@ -49,7 +48,6 @@ from .pattern import (
     window_count,
     window_density,
 )
-from .render import render_svg
 from .search import (
     SearchConfig,
     SearchResult,
@@ -69,7 +67,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Point",
     "chebyshev",
     "neighbors",
     "closed_neighborhood",
@@ -115,5 +112,4 @@ __all__ = [
     "SearchConfig",
     "SearchResult",
     "minimum_lpds",
-    "render_svg",
 ]

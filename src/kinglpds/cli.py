@@ -185,7 +185,6 @@ def _cmd_search(args) -> int:
         basis=basis,
         max_cardinality=args.max_k,
         node_budget=args.node_budget,
-        allow_large=args.allow_large,
     )
     try:
         result = minimum_lpds(config)
@@ -329,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lattice", required=True, help='basis "u=(a,b) v=(c,d)"')
     p.add_argument("--max-k", type=int, dest="max_k")
     p.add_argument("--node-budget", type=int, dest="node_budget")
-    p.add_argument("--allow-large", action="store_true", dest="allow_large")
     p.set_defaults(func=_cmd_search)
 
     p = subs.add_parser("check", help="run a mechanical lemma check")

@@ -11,7 +11,9 @@ member or not, needs a member among its 8 neighbors (a member's partner is
 one), so the open neighborhood ``OPEN`` is the only neighborhood slot set.
 Every checker evaluates these slots, and ``locks`` compiles them into the
 masks both searches prune on; a domain only says where ``cell + BLOCK[k]``
-lands.
+lands.  Both exhaustive engines (the lattice search and the lemma engine)
+number their cells in the order they visit them, so a lock is decided at its
+top bit, and ``file_locks`` files every lock of both there.
 """
 
 from __future__ import annotations
@@ -93,3 +95,15 @@ def locks(rows, checked) -> list[int]:
             if j != i and j in checked:
                 out[1 << i | 1 << j | mask(land, sep)] = None
     return list(out)
+
+
+def file_locks(deps, n: int) -> list[list[int]]:
+    """The locks ``deps`` over cells ``0..n-1``, filed under their highest cell.
+
+    With cells numbered in visiting order, a lock can become all-out only when
+    its highest cell is set out, so it is tested there alone.
+    """
+    filed: list[list[int]] = [[] for _ in range(n)]
+    for dep in deps:
+        filed[dep.bit_length() - 1].append(dep)
+    return filed

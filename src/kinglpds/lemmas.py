@@ -32,7 +32,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .discharge import HALF, pendant_rate
-from .grid import BLOCK, OPEN, Point, closed_neighborhood, common_neighbors, locks, neighbors
+from .grid import (
+    BLOCK, OPEN, Point, closed_neighborhood, common_neighbors, file_locks, locks, neighbors
+)
 from .pattern import FiniteWindow, serialize_window
 from .verify import saturates
 
@@ -67,11 +69,13 @@ class _Budget(Exception):
 
 
 class _WindowSearch:
-    """DFS over in/out assignments of a square window, center-outward.
+    """DFS over in/out assignments of a square window.
 
-    The forced members are the endpoints of ``forced_pairs``; they are in
-    before the search starts.  Hooks: ``safe(engine)`` prunes a branch once
-    the claim can no longer be refuted in any completion; ``fails(engine)``
+    Cells are numbered in the order the search visits them: the endpoints of
+    ``forced_pairs`` (members before the search starts, the bits below
+    ``start``), then ``early_cells``, then the rest center-outward, so bit i
+    is decided at depth i.  Hooks: ``safe(engine)`` prunes a branch once the
+    claim can no longer be refuted in any completion; ``fails(engine)``
     decides the conclusion at a fully assigned leaf.  Certificate locks prune
     any branch whose decided cells already force a visible violation in every
     completion.
@@ -85,67 +89,41 @@ class _WindowSearch:
         early_cells: list[Point] | None = None,
     ):
         self.radius = radius
-        self.cells = sorted(
+        box = sorted(
             ((x, y) for x in range(-radius, radius + 1) for y in range(-radius, radius + 1)),
             key=lambda p: (max(abs(p[0]), abs(p[1])), p[1], p[0]),
         )
+        forced = list(dict.fromkeys(p for pair in forced_pairs for p in pair))
+        # claim-relevant cells first lets prunes and locks fire at shallow depth
+        self.cells = list(dict.fromkeys(forced + (early_cells or []) + box))
+        self.start = len(forced)
         self.index = {p: i for i, p in enumerate(self.cells)}
         # where each BLOCK offset of a cell lands; None outside the window
         land = [
             [self.index.get((p[0] + dx, p[1] + dy)) for dx, dy in BLOCK] for p in self.cells
         ]
         self.nbr_idx = [[row[k] for k in OPEN if row[k] is not None] for row in land]
-        self.forced = {p for pair in forced_pairs for p in pair}
         self.node_budget = node_budget
         self.configs = 0
         self.witness: FiniteWindow | None = None
 
-        self.in_mask = 0
+        self.in_mask = (1 << self.start) - 1
         self.out_mask = 0
         self.ncount = [0] * len(self.cells)
-        for p in self.forced:
-            i = self.index[p]
-            self.in_mask |= 1 << i
+        for i in range(self.start):
             for j in self.nbr_idx[i]:
                 self.ncount[j] += 1
 
-        # claim-relevant cells first lets prunes and locks fire at shallow
-        # depth; the remaining cells keep the center-outward order
-        early = [self.index[p] for p in early_cells or []]
-        order = dict.fromkeys(early + list(range(len(self.cells))))
-        self.order = [i for i in order if not self.in_mask >> i & 1]
-
-        # File each certificate lock of the interior cells under the order
-        # position of its last undecided cell: the lock becomes all-out only
-        # when that cell is set out, so it is tested there alone.  A lock
-        # holding a forced member never fires and is dropped; every other
-        # lock has an undecided cell, since only forced members are decided
-        # before the search.
+        # The certificate locks of the interior cells.  A lock holding a
+        # forced member never fires and is dropped; every other lock is
+        # decided at its highest cell.
         rows = [
             (i, land[i])
             for i, p in enumerate(self.cells)
             if max(abs(p[0]), abs(p[1])) < radius
         ]
-        position = [0] * len(self.cells)
-        for pos, i in enumerate(self.order):
-            position[i] = pos
-        self.locks_at: list[list[int]] = [[] for _ in self.order]
-        for dep in locks(rows, {i for i, _ in rows}):
-            if not dep & self.in_mask:
-                last, d = 0, dep
-                while d:
-                    low = d & -d
-                    last = max(last, position[low.bit_length() - 1])
-                    d ^= low
-                self.locks_at[last].append(dep)
-
-    # -- state reads for hooks ----------------------------------------------
-
-    def is_in(self, i: int) -> bool:
-        return bool((self.in_mask >> i) & 1)
-
-    def is_out(self, i: int) -> bool:
-        return bool((self.out_mask >> i) & 1)
+        deps = [dep for dep in locks(rows, {i for i, _ in rows}) if not dep & self.in_mask]
+        self.locks_at = file_locks(deps, len(self.cells))
 
     # -- leaf handling -------------------------------------------------------
 
@@ -156,9 +134,7 @@ class _WindowSearch:
         member partner here and now; others could pair with the unknown
         exterior.  Forced pairs are honored verbatim.
         """
-        free = [
-            p for i, p in enumerate(self.cells) if self.is_in(i) and p not in self.forced
-        ]
+        free = [p for i, p in enumerate(self.cells) if i >= self.start and self.in_mask >> i & 1]
         inner = self.radius - 1
         required = {p for p in free if max(abs(p[0]), abs(p[1])) <= inner}
         return not required or saturates(free, required)
@@ -168,7 +144,7 @@ class _WindowSearch:
             return
         if not self._extendable():
             return
-        pts = frozenset(self.cells[i] for i in range(len(self.cells)) if self.is_in(i))
+        pts = frozenset(p for i, p in enumerate(self.cells) if self.in_mask >> i & 1)
         r = self.radius
         self.witness = FiniteWindow(-r, r, -r, r, pts)
         raise _Found
@@ -179,7 +155,7 @@ class _WindowSearch:
         if safe(self):
             return "holds", None
         try:
-            self._dfs(0, safe, fails)
+            self._dfs(self.start, safe, fails)
         except _Found:
             return "counterexample", self.witness
         except _Budget:
@@ -190,11 +166,10 @@ class _WindowSearch:
         self.configs += 1
         if self.node_budget is not None and self.configs > self.node_budget:
             raise _Budget
-        if pos == len(self.order):
+        if pos == len(self.cells):
             self._leaf(fails)
             return
-        i = self.order[pos]
-        bit = 1 << i
+        bit = 1 << pos
 
         self.out_mask |= bit
         out = self.out_mask
@@ -208,11 +183,11 @@ class _WindowSearch:
 
         self.in_mask |= bit
         nc = self.ncount
-        for j in self.nbr_idx[i]:
+        for j in self.nbr_idx[pos]:
             nc[j] += 1
         if not safe(self):
             self._dfs(pos + 1, safe, fails)
-        for j in self.nbr_idx[i]:
+        for j in self.nbr_idx[pos]:
             nc[j] -= 1
         self.in_mask ^= bit
 

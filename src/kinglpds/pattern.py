@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -111,13 +110,24 @@ class LatticeBasis:
         return [(x, y) for y in range(c) for x in range(a)]
 
 
-@lru_cache(maxsize=8)
+LANDING_CACHE_CELLS = 1 << 12  # the largest basis whose landing table is cached
+
+
 def torus_landing(basis: LatticeBasis) -> tuple[list[Point], tuple[tuple[int, ...], ...]]:
     """Domain cells of ``basis`` and, per cell, where each ``BLOCK`` offset lands.
 
     ``land[i][k]`` is the index of the domain cell congruent to
-    ``cells[i] + BLOCK[k]``: 49 entries per domain cell.
+    ``cells[i] + BLOCK[k]``: 49 entries per domain cell.  The tables of the
+    last eight bases of at most ``LANDING_CACHE_CELLS`` cells are cached;
+    larger ones are rebuilt on each call, so no caller holds them for long.
     """
+    if basis.cells > LANDING_CACHE_CELLS:
+        return _landing.__wrapped__(basis)
+    return _landing(basis)
+
+
+@lru_cache(maxsize=8)
+def _landing(basis: LatticeBasis) -> tuple[list[Point], tuple[tuple[int, ...], ...]]:
     cells = basis.domain_cells()
     index = {c: i for i, c in enumerate(cells)}
     land = tuple(
@@ -166,14 +176,27 @@ class PeriodicPattern:
         return sorted(self.base)
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of ``(a*t + b) // m`` over ``0 <= t < n``, for m > 0, in O(log m) steps."""
+    total = 0
+    while n > 0:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b, m, a = top // m, top % m, a, m
+    return total
+
+
 def window_count(pattern: PeriodicPattern | FiniteWindow, center: Point, k: int) -> int:
     """Number of pattern (or window) points at graph distance <= k from center.
 
-    A pattern row repeats with the Hermite period a, so each row of the box is
-    counted as whole periods plus one partial period.  The rows y = q*c + r of
-    one base residue r start their partial period at (x0 - q*b) mod a, which
-    repeats in q with period a / gcd(a, b); rows are counted per class of q,
-    so the cost does not grow with k.
+    Base point (x, r) lies in row y = q*c + r at the columns x + q*b + j*a, so
+    the box holds floor((cx+k - x - q*b)/a) - floor((cx-k-1 - x - q*b)/a) of
+    them in that row; these floors are summed over the box's rows in closed
+    form, so the cost does not grow with k or with the Hermite period a.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -182,22 +205,13 @@ def window_count(pattern: PeriodicPattern | FiniteWindow, center: Point, k: int)
         ys = range(cy - k, cy + k + 1)
         return sum(pattern.contains((x, y)) for x in range(cx - k, cx + k + 1) for y in ys)
     a, b, c = pattern.basis.hermite
-    rows: dict[int, list[int]] = {}
-    for x, y in sorted(pattern.base):
-        rows.setdefault(y, []).append(x)
-    # members at residues x' < t of a row, for 0 <= t < 2a
-    below = lambda xs, t: bisect_left(xs, t) + bisect_left(xs, t - a)
-    whole, part = divmod(2 * k + 1, a)
-    period = a // math.gcd(a, b)
     n = 0
-    for r, xs in rows.items():
+    for x, r in pattern.base:
         q0 = -((r - cy + k) // c)  # the rows of residue r in the box: q0 <= q <= q1
-        q1 = (cy + k - r) // c
-        for q in range(q0, q0 + period):
-            runs = (q1 - q) // period + 1
-            if runs > 0:
-                s = (cx - k - q * b) % a
-                n += runs * (whole * len(xs) + below(xs, s + part) - below(xs, s))
+        rows = (cy + k - r) // c - q0 + 1
+        if rows > 0:
+            x0 = x + q0 * b
+            n += _floor_sum(rows, a, -b, cx + k - x0) - _floor_sum(rows, a, -b, cx - k - 1 - x0)
     return n
 
 

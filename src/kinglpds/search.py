@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .grid import OPEN, Point, locks, mask
+from .grid import OPEN, Point, file_locks, locks, mask
 from .pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -53,7 +53,6 @@ class SearchConfig:
     basis: LatticeBasis
     max_cardinality: int | None = None
     node_budget: int | None = None
-    allow_large: bool = False
 
 
 @dataclass
@@ -144,9 +143,7 @@ def _tables(basis: LatticeBasis) -> _Tables:
     domain = [cells[i] for i in order]
 
     # a lock is decided at its highest residue, where "no member" is "all out"
-    lock_dl: list[list[int]] = [[] for _ in range(n)]
-    for dep in deps:
-        lock_dl[dep.bit_length() - 1].append(dep)
+    lock_dl = file_locks(deps, n)
 
     # a packing for pos + 1 is one for pos too
     need = [len(_packing(deps, pos)) for pos in range(n + 1)]
@@ -263,11 +260,8 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
     """
     basis = config.basis
     cells = basis.cells
-    if cells > MAX_DOMAIN and not config.allow_large:
-        raise ValueError(
-            f"fundamental domain has {cells} cells; beyond {MAX_DOMAIN} pass"
-            " allow_large=True"
-        )
+    if cells > MAX_DOMAIN:
+        raise ValueError(f"fundamental domain has {cells} cells; MAX_DOMAIN is {MAX_DOMAIN}")
     if config.max_cardinality is not None and config.max_cardinality < 0:
         raise ValueError("max cardinality must be >= 0")
     if config.node_budget is not None and config.node_budget < 0:

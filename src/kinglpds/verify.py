@@ -137,7 +137,8 @@ def _torus(pattern: PeriodicPattern):
     """Cells, landing table, membership and isolated cells of the pattern's torus.
 
     Cached for the last pattern, so the domination and locating checks of one
-    ``verify_lpds`` share a single open-neighbourhood pass.
+    ``verify_lpds`` share a single open-neighbourhood pass; ``verify_lpds``
+    drops the entry once they are done.
     """
     cells, land = torus_landing(pattern.basis)
     member = [c in pattern.base for c in cells]
@@ -448,6 +449,7 @@ def verify_lpds(pattern: PeriodicPattern) -> VerificationReport:
         loc = check_locating(pattern)
         locating = not loc
         violations.extend(loc)
+    _torus.cache_clear()
 
     mres = find_perfect_matching(pattern)
     paired = mres.matching is not None

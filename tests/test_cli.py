@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, and format round-trips."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -93,7 +94,7 @@ def test_density_with_window_estimate(capsys):
 
 
 def test_density_large_k_is_fast(capsys):
-    # rows are counted in whole periods, grouped by their shift in the period
+    # each base point's column floors are summed over the rows in closed form
     start = time.perf_counter()
     code, out, _ = run(capsys, "density", "catalog:L2", "--k", "100000")
     assert time.perf_counter() - start < 5
@@ -112,6 +113,21 @@ def test_density_huge_k_is_exact_and_fast(capsys):
     assert time.perf_counter() - start < 1
     assert code == 0
     assert out.splitlines() == ["density 2/9", "window k=499999999 density=2/9"]
+
+
+def test_density_on_a_long_period_is_fast(capsys, tmp_path):
+    # the Hermite period a = 10**12 is far longer than the box is high; each
+    # row holds two members, and rows q = 0 and q = +-10**12 hold three
+    src = tmp_path / "p.txt"
+    src.write_text("lattice u=(1000000000000,0) v=(7,1)\nbase (0,0)\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "density", str(src), "--k", "1")
+    assert (code, out.splitlines()) == (0, ["density 1/1000000000000", "window k=1 density=1/9"])
+    k = 10**12
+    code, out, _ = run(capsys, "density", str(src), "--k", str(k))
+    assert time.perf_counter() - start < 2
+    members = Fraction(4 * k + 5, (2 * k + 1) ** 2)
+    assert (code, out.splitlines()[1]) == (0, f"window k={k} density={members}")
 
 
 def test_density_negative_k_exits_2(capsys):
@@ -187,6 +203,20 @@ def test_negative_counts_exit_2(capsys, argv, message):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {message} must be >= 0")
+
+
+def test_search_over_max_domain_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "search", "--lattice", "u=(300,0) v=(0,300)")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == "error: fundamental domain has 90000 cells; MAX_DOMAIN is 64\n"
+    # the flag that once lifted the limit is gone
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["search", "--lattice", "u=(300,0) v=(0,300)", "--allow-large"])
+    assert time.perf_counter() - start < 2
+    assert exc.value.code == 2
 
 
 def test_search_max_k_zero_is_infeasible(capsys):

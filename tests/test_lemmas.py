@@ -53,10 +53,10 @@ def test_engine_refutes_a_false_claim():
         pend = [engine.index[p] for p in _pendants_of(_CENTER, _FAR_PARTNER)]
 
         def safe(e):
-            return any(e.is_in(i) for i in pend)
+            return any(e.in_mask >> i & 1 for i in pend)
 
         def fails(e):
-            return all(e.is_out(i) for i in pend)
+            return all(e.out_mask >> i & 1 for i in pend)
 
         return safe, fails
 
@@ -92,16 +92,16 @@ def test_node_budget_bounds_the_whole_claim():
 
 
 # -- hooks against their definitions ----------------------------------------
-# Each claim's (safe, fails) as first written: one is_in/is_out call per cell
-# and Fraction grants.  The engine's hooks read its masks and count quarters;
+# Each claim's (safe, fails) as first written: one mask read per cell and
+# Fraction grants.  The engine's hooks read its masks and count quarters;
 # they must agree with these on every state.
 
 def _def_part1(e, pairs):
     (v, m), = pairs
     pend = [e.index[p] for p in _pendants_of(v, m)]
     nc = e.ncount
-    safe = sum(1 for i in pend if not e.is_in(i) and nc[i] == 1) <= 1
-    fails = sum(1 for i in pend if e.is_out(i) and nc[i] == 1) >= 2
+    safe = sum(1 for i in pend if not e.in_mask >> i & 1 and nc[i] == 1) <= 1
+    fails = sum(1 for i in pend if e.out_mask >> i & 1 and nc[i] == 1) >= 2
     return safe, fails
 
 
@@ -109,9 +109,9 @@ def _def_part2(e, pairs):
     (v, m), = pairs
     intv = [e.index[p] for p in common_neighbors(v, m)]
     nc = e.ncount
-    safe = sum(1 for i in intv if not e.is_in(i) and nc[i] == 2) <= 1
-    t1 = any(e.is_out(i) and nc[i] == 1 for i in intv)
-    t2 = sum(1 for i in intv if e.is_out(i) and nc[i] == 2)
+    safe = sum(1 for i in intv if not e.in_mask >> i & 1 and nc[i] == 2) <= 1
+    t1 = any(e.out_mask >> i & 1 and nc[i] == 1 for i in intv)
+    t2 = sum(1 for i in intv if e.out_mask >> i & 1 and nc[i] == 2)
     return safe, t1 or t2 >= 2
 
 
@@ -119,8 +119,8 @@ def _def_part3(e, pairs):
     (v, m), = pairs
     pend = [e.index[p] for p in _pendants_of(v, m)]
     nc = e.ncount
-    safe = any(e.is_in(i) or nc[i] >= 3 for i in pend)
-    fails = all(e.is_out(i) and nc[i] <= 2 for i in pend)
+    safe = any(e.in_mask >> i & 1 or nc[i] >= 3 for i in pend)
+    fails = all(e.out_mask >> i & 1 and nc[i] <= 2 for i in pend)
     return safe, fails
 
 
@@ -133,20 +133,20 @@ def _def_adjacent_sum(e, pairs):
     ]
 
     def side_rate(pend, intv):
-        i0 = sum(1 for i in intv if e.is_in(i))
+        i0 = sum(1 for i in intv if e.in_mask >> i & 1)
         p = [0, 0, 0, 0]
         for i in pend:
-            if e.is_in(i) or i in def_i:
+            if e.in_mask >> i & 1 or i in def_i:
                 p[0] += 1
             else:
                 p[min(nc[i], 3)] += 1
         return pendant_rate("far", i0, p[1], p[2], p[3])
 
     def side_grant(pend, intv):
-        if any(e.is_in(i) for i in pend) or any(e.is_in(i) for i in intv):
+        if any(e.in_mask >> i & 1 for i in pend + intv):
             return HALF
-        p3min = sum(1 for i in pend if e.is_out(i) and nc[i] >= 3 and i not in def_i)
-        can_t1 = sum(1 for i in pend if not e.is_in(i) and nc[i] == 1)
+        p3min = sum(1 for i in pend if e.out_mask >> i & 1 and nc[i] >= 3 and i not in def_i)
+        can_t1 = sum(1 for i in pend if not e.in_mask >> i & 1 and nc[i] == 1)
         if p3min >= 2 and can_t1 <= 1:
             return Fraction(1, 4)
         return Fraction(0)
@@ -169,10 +169,11 @@ def _random_states(engine, rng, count):
         engine.in_mask, engine.out_mask = base_in, 0
         engine.ncount[:] = base_nc
         p_in = rng.uniform(0.1, 0.6)
-        cut = len(engine.order) if n % 3 else rng.randrange(len(engine.order) + 1)
+        end = len(engine.cells)
+        cut = end if n % 3 else rng.randrange(engine.start, end + 1)
         p_open = 0.0 if n % 5 == 0 else rng.uniform(0.0, 0.5)
-        for pos, i in enumerate(engine.order):
-            if pos >= cut or rng.random() < p_open:
+        for i in range(engine.start, end):
+            if i >= cut or rng.random() < p_open:
                 continue
             if rng.random() < p_in:
                 engine.in_mask |= 1 << i

@@ -161,7 +161,7 @@ def test_node_budget_exceeded():
 
 
 def test_domain_guards():
-    with pytest.raises(ValueError, match="allow_large"):
+    with pytest.raises(ValueError, match="81 cells; MAX_DOMAIN is 64"):
         minimum_lpds(SearchConfig(LatticeBasis((9, 0), (0, 9))))
     with pytest.raises(ValueError, match="16"):
         brute_force_oracle(LatticeBasis((5, 0), (0, 5)))

@@ -1,6 +1,8 @@
 """Verification: domination, locating, periodic matchings, window checks."""
 
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 
@@ -272,6 +274,27 @@ def test_verify_lpds_scans_the_torus_once(monkeypatch):
     assert check_domination(sparse)
     with pytest.raises(ValueError, match="requires domination"):
         check_locating(sparse)
+
+
+def test_verify_holds_no_large_tables_afterwards():
+    # verify_lpds drops its torus on return, and torus_landing caches only
+    # bases of at most LANDING_CACHE_CELLS cells, so verifying patterns of
+    # 4,225 and 5,184 cells leaves none of their tables alive (with both
+    # caches unbounded, about 5 MB stays held)
+    patterns = [
+        PeriodicPattern.make(LatticeBasis((side, 0), (0, side)), [(0, 0), (1, 0)])
+        for side in (65, 72)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for pattern in patterns:
+            assert not verify_lpds(pattern).dominating
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
 
 
 def test_dominating_but_not_locating():
