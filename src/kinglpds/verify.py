@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 
 import networkx as nx
 
@@ -132,17 +132,26 @@ def _collisions(member, rows, checked):
                 yield i, j, k
 
 
-@lru_cache(maxsize=1)
+# The torus of each pattern ``verify_lpds`` is running on, by ``id``; None
+# until its first check scans it.
+_sharing: dict[int, tuple | None] = {}
+
+
 def _torus(pattern: PeriodicPattern):
     """Cells, landing table, membership and isolated cells of the pattern's torus.
 
-    Cached for the last pattern, so the domination and locating checks of one
-    ``verify_lpds`` share a single open-neighbourhood pass; ``verify_lpds``
-    drops the entry once they are done.
+    While ``verify_lpds`` runs on the pattern, the first scan is kept, so its
+    domination and locating checks share one open-neighbourhood pass; a check
+    called on its own keeps nothing.
     """
-    cells, land = torus_landing(pattern.basis)
-    member = [c in pattern.base for c in cells]
-    return cells, land, member, _isolated(member, enumerate(land))
+    torus = _sharing.get(id(pattern))
+    if torus is None:
+        cells, land = torus_landing(pattern.basis)
+        member = [c in pattern.base for c in cells]
+        torus = cells, land, member, _isolated(member, enumerate(land))
+        if id(pattern) in _sharing:
+            _sharing[id(pattern)] = torus
+    return torus
 
 
 def check_domination(pattern: PeriodicPattern) -> list[ViolationCertificate]:
@@ -442,14 +451,17 @@ def classify(matching: Matching) -> Classification:
 
 def verify_lpds(pattern: PeriodicPattern) -> VerificationReport:
     """Compose domination, locating, and pairing; classification waits for first use."""
-    violations = list(check_domination(pattern))
-    dominating = not violations
-    locating = False
-    if dominating:
-        loc = check_locating(pattern)
-        locating = not loc
-        violations.extend(loc)
-    _torus.cache_clear()
+    _sharing[id(pattern)] = None
+    try:
+        violations = list(check_domination(pattern))
+        dominating = not violations
+        locating = False
+        if dominating:
+            loc = check_locating(pattern)
+            locating = not loc
+            violations.extend(loc)
+    finally:
+        del _sharing[id(pattern)]
 
     mres = find_perfect_matching(pattern)
     paired = mres.matching is not None
@@ -476,20 +488,47 @@ def verify_lpds(pattern: PeriodicPattern) -> VerificationReport:
 def saturates(members: list[Point], required: set[Point]) -> bool:
     """Is there a matching among ``members`` (king adjacency) covering ``required``?
 
-    A maximum-weight matching, each edge weighted by its required endpoints,
-    matches as many required members as any matching can.
+    ``required`` is a subset of ``members``.  A greedy pass first matches each
+    required member still free, in sorted order, to its first free member
+    neighbour along ``OPEN``; when that covers ``required`` it is the witness.
+    Otherwise each component of the member graph that holds a member the
+    greedy pass left uncovered gets a maximum-weight matching, each edge
+    weighted by its required endpoints, which matches as many of the
+    component's required members as any matching can.  Components share no
+    edge, and the greedy pass covered every other component, so ``required``
+    is covered exactly when these matchings cover theirs.
     """
     present = set(members)
-    g = nx.Graph()
-    g.add_nodes_from(members)
-    for p in members:
-        for k in OPEN:
-            dx, dy = BLOCK[k]
-            q = (p[0] + dx, p[1] + dy)
-            if q in present and p < q:
-                g.add_edge(p, q, weight=(p in required) + (q in required))
-    mates = nx.max_weight_matching(g)
-    return required <= {v for e in mates for v in e}
+    steps = [BLOCK[k] for k in OPEN]
+    adjacent = lambda p: [q for q in ((p[0] + dx, p[1] + dy) for dx, dy in steps) if q in present]
+    matched: set[Point] = set()
+    uncovered = []
+    for p in sorted(required):
+        if p in matched:
+            continue
+        q = next((q for q in adjacent(p) if q not in matched), None)
+        if q is None:
+            uncovered.append(p)
+        else:
+            matched.update((p, q))
+    seen: set[Point] = set()
+    for start in uncovered:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        g = nx.Graph()
+        for p in component:  # breadth first; grows while it is walked
+            for q in adjacent(p):
+                if q not in seen:
+                    seen.add(q)
+                    component.append(q)
+                if p < q:
+                    g.add_edge(p, q, weight=(p in required) + (q in required))
+        covered = {v for e in nx.max_weight_matching(g) for v in e}
+        if any(p in required and p not in covered for p in component):
+            return False
+    return True
 
 
 def verify_window(window: FiniteWindow) -> VerificationReport:

@@ -2,7 +2,8 @@
 
 Shares no code with ``kinglpds.verify`` or ``kinglpds.search``: it unrolls the
 torus into a box of world points and compares the member neighbourhoods of
-all pairs in it, and it settles pairing by backtracking over member residues.
+all pairs in it, and it settles pairing by backtracking over member residues
+(or, for a finite set, over members).
 """
 
 from __future__ import annotations
@@ -64,6 +65,25 @@ def _has_perfect_matching(pattern: PeriodicPattern) -> bool:
         return any(match(free - {v, w}) for w in adj[v] if w in free)
 
     return match(frozenset(pattern.base))
+
+
+def naive_saturates(members, required) -> bool:
+    """Does some matching among ``members`` (king steps) cover ``required``?
+
+    Backtracking: the least uncovered required member is matched to each free
+    member neighbour in turn.
+    """
+    def cover(free: frozenset, need: frozenset) -> bool:
+        if not need:
+            return True
+        v = min(need)
+        return any(
+            cover(free - {v, w}, need - {v, w})
+            for w in ((v[0] + dx, v[1] + dy) for dx, dy in _STEPS)
+            if w in free
+        )
+
+    return cover(frozenset(members), frozenset(required))
 
 
 def naive_check(pattern: PeriodicPattern, stop_early: bool = False) -> NaiveReport:

@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import cache
 
+import networkx
 import pytest
 
 import kinglpds.verify
@@ -30,10 +31,11 @@ from kinglpds.verify import (
     classify,
     check_locating,
     find_perfect_matching,
+    saturates,
     verify_lpds,
     verify_window,
 )
-from naive_lpds import naive_check
+from naive_lpds import naive_check, naive_saturates
 
 
 # -- independent matching oracle ---------------------------------------------
@@ -265,7 +267,6 @@ def test_verify_lpds_scans_the_torus_once(monkeypatch):
     monkeypatch.setattr(kinglpds.verify, "_isolated", counting)
     cols = PeriodicPattern.make(LatticeBasis((3, 0), (0, 1)), [(0, 0)])
     for pattern, valid in ((catalog("L2"), True), (cols, False)):
-        kinglpds.verify._torus.cache_clear()
         calls.clear()
         assert verify_lpds(pattern).valid is valid
         assert len(calls) == 1
@@ -290,6 +291,25 @@ def test_verify_holds_no_large_tables_afterwards():
     try:
         for pattern in patterns:
             assert not verify_lpds(pattern).dominating
+        gc.collect()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20
+
+
+def test_checks_on_their_own_hold_no_torus():
+    # verify_lpds shares one torus scan between its two checks only while it
+    # runs; each check called on its own keeps nothing (a kept torus of
+    # (72,0)/(0,72) holds about 3 MB)
+    basis = LatticeBasis((72, 0), (0, 72))
+    sparse = PeriodicPattern.make(basis, [(0, 0), (1, 0), (0, 36), (1, 36)])
+    full = PeriodicPattern.make(basis, [(x, y) for x in range(72) for y in range(72)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        assert check_domination(sparse)
+        assert check_locating(full) == []
         gc.collect()
         held, _ = tracemalloc.get_traced_memory()
     finally:
@@ -478,6 +498,68 @@ def test_window_pairing_three_valued():
     )
     assert row.paired is None
     assert "paired=n/a" in row.machine_line()
+
+
+def _counting_matcher(monkeypatch):
+    calls = []
+    original = networkx.max_weight_matching
+
+    def counting(g, *args, **kwargs):
+        calls.append(g.number_of_nodes())
+        return original(g, *args, **kwargs)
+
+    monkeypatch.setattr(networkx, "max_weight_matching", counting)
+    return calls
+
+
+def test_saturates_matches_backtracking_oracle(monkeypatch):
+    calls = _counting_matcher(monkeypatch)
+    rng = random.Random(27)
+    triangles = [{(0, 0), (1, 0), (0, 1), (1, 1)} - {c} for c in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    seen = set()  # (matcher called, answer)
+    for case in range(1200):
+        w, h = rng.randint(2, 5), rng.randint(2, 4)
+        cells = [(x, y) for x in range(w) for y in range(h)]
+        members = {c for c in cells if rng.random() < rng.uniform(0.3, 0.9)}
+        required = {p for p in members if rng.random() < 0.6}
+        if case % 4 == 1:
+            required = set()
+        elif case % 4 == 2:  # an odd king triangle, all of it required
+            dx, dy = rng.randint(0, w - 2), rng.randint(0, h - 2)
+            tri = {(x + dx, y + dy) for x, y in rng.choice(triangles)}
+            members |= tri
+            required |= tri
+        before = len(calls)
+        got = saturates(sorted(members), required)
+        assert got == naive_saturates(members, required), (sorted(members), sorted(required))
+        seen.add((len(calls) > before, got))
+    # a greedy cover answers True alone; both answers also come past it
+    assert seen == {(False, True), (True, True), (True, False)}
+
+
+def test_saturates_falls_back_where_greedy_fails(monkeypatch):
+    # (0,0) is matched first, along OPEN, to (1,0), which leaves (2,0) with no
+    # free neighbour; the matcher then runs on the one component
+    calls = _counting_matcher(monkeypatch)
+    required = {(0, 0), (2, 0)}
+    assert saturates([(0, 0), (1, 0), (2, 0), (0, 1)], required) is True
+    assert saturates([(0, 0), (1, 0), (2, 0)], required) is False
+    assert calls == [4, 3]
+
+
+def test_window_pairing_reaches_matcher_only_past_greedy(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("matcher called")
+
+    monkeypatch.setattr(networkx, "max_weight_matching", refuse)
+    blocks = XDescriptor.explicit([-6, -2, 0, 1, 3, 5, 8, 9, 11, 13])
+    lx = catalog("LX", blocks, (-7, 37, 3, 47))
+    full = frozenset((x, y) for x in range(100) for y in range(100))
+    for window in (lx, FiniteWindow(0, 99, 0, 99, full)):
+        assert verify_window(window).paired is True
+    # three in a row needs the matcher (paired=n/a with the real one)
+    with pytest.raises(AssertionError, match="matcher called"):
+        verify_window(FiniteWindow(0, 6, 0, 6, frozenset({(2, 3), (3, 3), (4, 3)})))
 
 
 def test_window_flags_planted_hole():
