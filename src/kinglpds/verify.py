@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-import networkx as nx
-
 from .grid import (
     BLOCK,
     OPEN,
@@ -228,23 +226,89 @@ class MatchingResult:
     witnesses: tuple[Point, ...] = ()
 
 
-def _quotient_graph(pattern: PeriodicPattern) -> nx.Graph:
-    """Loop-free graph on member residues; edge offsets chosen lex-least."""
-    basis = pattern.basis
-    g = nx.Graph()
-    g.add_nodes_from(pattern.base)
-    offsets: dict[tuple[Point, Point], list[Point]] = {}
-    for r in pattern.base:
-        for n in neighbors(r):
-            q = basis.reduce(n)
-            if q == r or q not in pattern.base:
+_STEPS = [BLOCK[k] for k in OPEN]  # the king steps, in OPEN order
+
+
+def _cover(adj: list[list[int]], required: list[int]) -> list[int]:
+    """``mate`` (-1 = free) of a matching covering as many ``required`` vertices as any can.
+
+    Greedy seed: each required vertex still free, in order, takes its first
+    free neighbour.  Then ``_augment`` runs from each one still free; the
+    covered required vertices only grow, so a root it fails on stays free.
+    """
+    mate = [-1] * len(adj)
+    for v in required:
+        w = next((w for w in adj[v] if mate[w] < 0), -1) if mate[v] < 0 else -1
+        if w >= 0:
+            mate[v], mate[w] = w, v
+    need = set(required)
+    for root in required:
+        if mate[root] < 0:
+            _augment(adj, mate, need, root)
+    return mate
+
+
+def _augment(adj: list[list[int]], mate: list[int], need: set[int], root: int) -> None:
+    """Grow one Edmonds alternating tree from the free ``root``, breadth first.
+
+    Flip the first path found to a free vertex or an outer vertex not in ``need``.
+    """
+    base, parent, outer, is_outer = {root: root}, {}, [root], {root}  # outer: the queue
+
+    def flip(v: int) -> None:  # the path from v, whose parent is outer, to the root
+        while v >= 0:
+            p = parent[v]
+            mate[v], mate[p], v = p, v, mate[p]
+
+    def settle(x: int) -> bool:  # x turns outer; flip the path to it if it is not needed
+        is_outer.add(x)
+        outer.append(x)
+        if x not in need:
+            y, mate[x] = mate[x], -1
+            flip(y)
+        return x not in need
+
+    for v in outer:
+        for w in adj[v]:
+            if base.get(w) == base[v] or mate[v] == w:
                 continue
-            off = (n[0] - q[0], n[1] - q[1])
-            offsets.setdefault((r, q), []).append(off)
-    for (r, q), offs in offsets.items():
-        if r < q:
-            g.add_edge(r, q, offset=min(offs))
-    return g
+            if w in is_outer:
+                fresh = [x for x in _blossom(base, parent, mate, root, v, w) if x not in is_outer]
+                if any(settle(x) for x in fresh):
+                    return
+            elif w not in parent:
+                parent[w], base[w] = v, w
+                if mate[w] < 0:
+                    flip(w)
+                    return
+                base[mate[w]] = mate[w]
+                if settle(mate[w]):
+                    return
+
+
+def _blossom(base: dict, parent: dict, mate: list[int], root: int, v: int, w: int) -> list[int]:
+    """Shrink the blossom that outer v-w closes; the vertices it adds to its base's.
+
+    Parents are re-pointed around the blossom, so that each vertex in it has
+    an even alternating path to the root.
+    """
+    path, a = {root}, base[v]
+    while a != root:
+        path.add(a)
+        a = base[parent[mate[a]]]
+    b = base[w]
+    while b not in path:
+        b = base[parent[mate[b]]]
+    shrunk = set()
+    for x, y in ((v, w), (w, v)):
+        while base[x] != b:
+            shrunk.update((base[x], base[mate[x]]))
+            parent[x], y = y, mate[x]
+            x = parent[y]
+    inside = [x for x in base if base[x] in shrunk]
+    for x in inside:
+        base[x] = b
+    return inside
 
 
 def _refinements(basis: LatticeBasis) -> list[tuple[LatticeBasis, Point]]:
@@ -259,19 +323,30 @@ def _refinements(basis: LatticeBasis) -> list[tuple[LatticeBasis, Point]]:
 
 
 def _match_at_period(pattern: PeriodicPattern) -> tuple[Matching | None, tuple[Point, ...]]:
+    """``_cover`` on the loop-free quotient, every residue required, in sorted order.
+
+    A pair is matched along its lex-least king step; uncovered residues witness a failure.
+    """
     if len(pattern.base) % 2:
         return None, tuple(sorted(pattern.base))
-    g = _quotient_graph(pattern)
-    mates = nx.max_weight_matching(g, maxcardinality=True)
-    if 2 * len(mates) != len(pattern.base):
-        matched = {v for e in mates for v in e}
-        return None, tuple(sorted(set(pattern.base) - matched))
-    step: dict[Point, Point] = {}
-    for r, q in mates:
-        r, q = min(r, q), max(r, q)  # stored for r < q: q + offset is a neighbour of r
-        dx, dy = g.edges[r, q]["offset"]
-        step[r] = (q[0] + dx - r[0], q[1] + dy - r[1])
-        step[q] = (-step[r][0], -step[r][1])
+    res = sorted(pattern.base)
+    index = {r: i for i, r in enumerate(res)}
+    step_to: dict[tuple[int, int], Point] = {}  # (i, j): from res[i] to a translate of res[j]
+    for i, (x, y) in enumerate(res):
+        for d in _STEPS:
+            j = index.get(pattern.basis.reduce((x + d[0], y + d[1])), i)
+            if j != i:
+                step_to[i, j] = min(step_to.get((i, j), d), d)
+    adj: list[list[int]] = [[] for _ in res]
+    for i, j in step_to:
+        adj[i].append(j)
+    mate = _cover(adj, list(range(len(res))))
+    if -1 in mate:
+        return None, tuple(r for r, m in zip(res, mate) if m < 0)
+    step = {  # the lower residue of a pair steps along the edge, the higher back
+        r: step_to[i, j] if i < j else (-step_to[j, i][0], -step_to[j, i][1])
+        for i, (r, j) in enumerate(zip(res, mate))
+    }
     return Matching(pattern, step), ()
 
 
@@ -288,9 +363,7 @@ def find_perfect_matching(pattern: PeriodicPattern) -> MatchingResult:
         matching.validate()
         return MatchingResult(matching)
     for refined_basis, rep in _refinements(pattern.basis):
-        pts = [p for p in pattern.base] + [
-            (p[0] + rep[0], p[1] + rep[1]) for p in pattern.base
-        ]
+        pts = [*pattern.base, *((p[0] + rep[0], p[1] + rep[1]) for p in pattern.base)]
         refined = PeriodicPattern.make(refined_basis, pts)
         m2, _ = _match_at_period(refined)
         if m2 is not None:
@@ -488,47 +561,14 @@ def verify_lpds(pattern: PeriodicPattern) -> VerificationReport:
 def saturates(members: list[Point], required: set[Point]) -> bool:
     """Is there a matching among ``members`` (king adjacency) covering ``required``?
 
-    ``required`` is a subset of ``members``.  A greedy pass first matches each
-    required member still free, in sorted order, to its first free member
-    neighbour along ``OPEN``; when that covers ``required`` it is the witness.
-    Otherwise each component of the member graph that holds a member the
-    greedy pass left uncovered gets a maximum-weight matching, each edge
-    weighted by its required endpoints, which matches as many of the
-    component's required members as any matching can.  Components share no
-    edge, and the greedy pass covered every other component, so ``required``
-    is covered exactly when these matchings cover theirs.
+    ``required`` is a subset of ``members``; ``_cover`` answers with the
+    required members in sorted order and edges along ``OPEN``.
     """
-    present = set(members)
-    steps = [BLOCK[k] for k in OPEN]
-    adjacent = lambda p: [q for q in ((p[0] + dx, p[1] + dy) for dx, dy in steps) if q in present]
-    matched: set[Point] = set()
-    uncovered = []
-    for p in sorted(required):
-        if p in matched:
-            continue
-        q = next((q for q in adjacent(p) if q not in matched), None)
-        if q is None:
-            uncovered.append(p)
-        else:
-            matched.update((p, q))
-    seen: set[Point] = set()
-    for start in uncovered:
-        if start in seen:
-            continue
-        seen.add(start)
-        component = [start]
-        g = nx.Graph()
-        for p in component:  # breadth first; grows while it is walked
-            for q in adjacent(p):
-                if q not in seen:
-                    seen.add(q)
-                    component.append(q)
-                if p < q:
-                    g.add_edge(p, q, weight=(p in required) + (q in required))
-        covered = {v for e in nx.max_weight_matching(g) for v in e}
-        if any(p in required and p not in covered for p in component):
-            return False
-    return True
+    index = {p: i for i, p in enumerate(members)}
+    near = lambda x, y: (index.get((x + dx, y + dy), -1) for dx, dy in _STEPS)
+    adj = [[j for j in near(x, y) if j >= 0] for x, y in members]
+    mate = _cover(adj, [index[p] for p in sorted(required)])
+    return all(mate[index[p]] >= 0 for p in required)
 
 
 def verify_window(window: FiniteWindow) -> VerificationReport:

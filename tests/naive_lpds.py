@@ -49,7 +49,8 @@ def _normalized(basis: LatticeBasis, u, w):
     return (anchor, (q[0] + anchor[0] - p[0], q[1] + anchor[1] - p[1]))
 
 
-def _has_perfect_matching(pattern: PeriodicPattern) -> bool:
+def _quotient(pattern: PeriodicPattern) -> dict:
+    """Each member residue's member residues next to one of its translates."""
     basis = pattern.basis
     adj = {r: set() for r in pattern.base}
     for r in pattern.base:
@@ -57,6 +58,11 @@ def _has_perfect_matching(pattern: PeriodicPattern) -> bool:
             q = basis.reduce((r[0] + dx, r[1] + dy))
             if q != r and q in adj:
                 adj[r].add(q)
+    return adj
+
+
+def _has_perfect_matching(pattern: PeriodicPattern) -> bool:
+    adj = _quotient(pattern)
 
     def match(free: frozenset) -> bool:
         if not free:
@@ -65,6 +71,23 @@ def _has_perfect_matching(pattern: PeriodicPattern) -> bool:
         return any(match(free - {v, w}) for w in adj[v] if w in free)
 
     return match(frozenset(pattern.base))
+
+
+def perfect_matchings(pattern: PeriodicPattern) -> int:
+    """Number of perfect matchings of the loop-free quotient, by backtracking.
+
+    The least free residue is matched to each free residue next to one of its
+    translates in turn.
+    """
+    adj = _quotient(pattern)
+
+    def count(free: frozenset) -> int:
+        if not free:
+            return 1
+        v = min(free)
+        return sum(count(free - {v, w}) for w in adj[v] if w in free)
+
+    return count(frozenset(pattern.base))
 
 
 def naive_saturates(members, required) -> bool:

@@ -1,12 +1,18 @@
 """Command-line interface: outputs, exit codes, and format round-trips."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import kinglpds
 from kinglpds.cli import main
 from kinglpds.pattern import FiniteWindow, catalog, parse_text, serialize_pattern, truncate
+from naive_lpds import perfect_matchings
 
 
 def run(capsys, *argv):
@@ -360,6 +366,52 @@ def test_discharge_pipeline2_pins_rescue_patterns(capsys, tmp_path, base, expect
     code, out, _ = run(capsys, "discharge", str(src), "--theorem", "2")
     assert code == 0
     assert out == expected
+
+
+# On 5x5 with 8 members, cases 3.4 and 3.5.1 are reached only by patterns
+# with several perfect matchings, so the pins above rest on which one the
+# verifier reports.  These patterns have one, so no tie-break can move them.
+_UNIQUE_RESCUES = [
+    (
+        "u=(6,0) v=(0,5)",
+        "(0,0) (0,2) (1,1) (1,3) (2,3) (3,0) (3,4) (4,1)",
+        "deficient (5,1) case=3.4 rich=(6,2) amount=1/2",
+    ),
+    (
+        "u=(5,0) v=(2,6)",
+        "(0,0) (0,3) (1,1) (1,4) (2,1) (3,0) (3,2) (4,3)",
+        "deficient (1,5) case=3.5.1 rich=(0,8) amount=1/2",
+    ),
+    (
+        "u=(5,0) v=(2,6)",
+        "(0,0) (1,1) (1,4) (2,1) (2,3) (3,0) (3,3) (4,2)",
+        "deficient (1,5) case=3.5.2 rich=(1,8) amount=1/2",
+    ),
+]
+
+
+@pytest.mark.parametrize("lattice, base, deficient", _UNIQUE_RESCUES)
+def test_discharge_pipeline2_rescues_uniquely_matched_patterns(
+    capsys, tmp_path, lattice, base, deficient
+):
+    text = f"lattice {lattice}\nbase {base}\n"
+    assert perfect_matchings(parse_text(text)) == 1
+    src = tmp_path / "p.txt"
+    src.write_text(text)
+    code, out, _ = run(capsys, "discharge", str(src), "--theorem", "2")
+    assert code == 0
+    assert out.splitlines()[-3:] == [
+        "min final=1/1",
+        "average initial=6/5 final=6/5",
+        deficient,
+    ]
+
+
+def test_cli_import_loads_no_networkx():
+    src = Path(kinglpds.__file__).resolve().parents[1]
+    code = "import sys, kinglpds.cli; assert 'networkx' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_discharge_rejects_invalid_pattern(capsys, tmp_path):

@@ -6,7 +6,6 @@ import tracemalloc
 from fractions import Fraction
 from functools import cache
 
-import networkx
 import pytest
 
 import kinglpds.verify
@@ -35,36 +34,12 @@ from kinglpds.verify import (
     verify_lpds,
     verify_window,
 )
-from naive_lpds import naive_check, naive_saturates
+from naive_lpds import naive_check, naive_saturates, perfect_matchings
 
 
 # -- independent matching oracle ---------------------------------------------
-# Exhaustive backtracking count of perfect matchings on the loop-free quotient
-# (simple graph on member residues).  Written before looking at the outputs of
-# find_perfect_matching; existence must agree.
-
-def _quotient(pattern):
-    base = sorted(pattern.base)
-    reduce = pattern.basis.reduce
-    adj = {r: set() for r in base}
-    for r in base:
-        for n in neighbors(r):
-            q = reduce(n)
-            if q != r and q in adj:
-                adj[r].add(q)
-                adj[q].add(r)
-    return base, adj
-
-
-def count_perfect_matchings(nodes, adj):
-    def rec(free):
-        if not free:
-            return 1
-        v = min(free)
-        rest = free - {v}
-        return sum(rec(rest - {w}) for w in adj[v] if w in rest)
-    return rec(frozenset(nodes))
-
+# ``perfect_matchings`` counts the perfect matchings of the loop-free quotient
+# by backtracking (tests/naive_lpds.py); existence must agree.
 
 _BASES = [
     ((4, 0), (0, 4)),
@@ -78,8 +53,7 @@ _BASES = [
 def test_matching_existence_matches_oracle_on_catalog():
     for name in ("L1", "L2"):
         p = catalog(name)
-        nodes, adj = _quotient(p)
-        assert count_perfect_matchings(nodes, adj) > 0
+        assert perfect_matchings(p) > 0
         matching, _ = _match_at_period(p)
         assert matching is not None
         matching.validate()
@@ -94,8 +68,7 @@ def test_matching_existence_matches_oracle_on_random_patterns():
         size = rng.randrange(2, len(cells) + 1)
         pts = rng.sample(cells, size)
         p = PeriodicPattern.make(basis, pts)
-        nodes, adj = _quotient(p)
-        oracle_has = count_perfect_matchings(nodes, adj) > 0
+        oracle_has = perfect_matchings(p) > 0
         matching, witnesses = _match_at_period(p)
         assert (matching is not None) == oracle_has
         if matching is not None:
@@ -107,8 +80,7 @@ def test_matching_existence_matches_oracle_on_random_patterns():
 
 
 def test_l2_quotient_matching_is_unique():
-    nodes, adj = _quotient(catalog("L2"))
-    assert count_perfect_matchings(nodes, adj) == 1
+    assert perfect_matchings(catalog("L2")) == 1
 
 
 # -- full periodic verification ----------------------------------------------
@@ -500,23 +472,30 @@ def test_window_pairing_three_valued():
     assert "paired=n/a" in row.machine_line()
 
 
-def _counting_matcher(monkeypatch):
+def _spy(monkeypatch, name, record):
+    """Wrap ``kinglpds.verify.<name>``; ``record(args, result)`` sees each call."""
     calls = []
-    original = networkx.max_weight_matching
+    original = getattr(kinglpds.verify, name)
 
-    def counting(g, *args, **kwargs):
-        calls.append(g.number_of_nodes())
-        return original(g, *args, **kwargs)
+    def spying(*args):
+        result = original(*args)
+        calls.append(record(args, result))
+        return result
 
-    monkeypatch.setattr(networkx, "max_weight_matching", counting)
+    monkeypatch.setattr(kinglpds.verify, name, spying)
     return calls
 
 
+def _counting_augment(monkeypatch):
+    """(root, covered afterwards) for each augmentation ``_cover`` runs."""
+    return _spy(monkeypatch, "_augment", lambda args, _: (args[3], args[1][args[3]] >= 0))
+
+
 def test_saturates_matches_backtracking_oracle(monkeypatch):
-    calls = _counting_matcher(monkeypatch)
+    calls = _counting_augment(monkeypatch)
     rng = random.Random(27)
     triangles = [{(0, 0), (1, 0), (0, 1), (1, 1)} - {c} for c in ((0, 0), (1, 0), (0, 1), (1, 1))]
-    seen = set()  # (matcher called, answer)
+    seen = set()  # (augmented, answer)
     for case in range(1200):
         w, h = rng.randint(2, 5), rng.randint(2, 4)
         cells = [(x, y) for x in range(w) for y in range(h)]
@@ -539,27 +518,119 @@ def test_saturates_matches_backtracking_oracle(monkeypatch):
 
 def test_saturates_falls_back_where_greedy_fails(monkeypatch):
     # (0,0) is matched first, along OPEN, to (1,0), which leaves (2,0) with no
-    # free neighbour; the matcher then runs on the one component
-    calls = _counting_matcher(monkeypatch)
+    # free neighbour; one augmentation from (2,0), member 2, then runs
+    calls = _counting_augment(monkeypatch)
     required = {(0, 0), (2, 0)}
     assert saturates([(0, 0), (1, 0), (2, 0), (0, 1)], required) is True
     assert saturates([(0, 0), (1, 0), (2, 0)], required) is False
-    assert calls == [4, 3]
+    assert calls == [(2, True), (2, False)]
 
 
 def test_window_pairing_reaches_matcher_only_past_greedy(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("matcher called")
+    def refuse(*args):
+        raise AssertionError("augmentation ran")
 
-    monkeypatch.setattr(networkx, "max_weight_matching", refuse)
+    monkeypatch.setattr(kinglpds.verify, "_augment", refuse)
     blocks = XDescriptor.explicit([-6, -2, 0, 1, 3, 5, 8, 9, 11, 13])
     lx = catalog("LX", blocks, (-7, 37, 3, 47))
     full = frozenset((x, y) for x in range(100) for y in range(100))
     for window in (lx, FiniteWindow(0, 99, 0, 99, full)):
         assert verify_window(window).paired is True
-    # three in a row needs the matcher (paired=n/a with the real one)
-    with pytest.raises(AssertionError, match="matcher called"):
+    # three in a row needs an augmentation (paired=n/a with the real one)
+    with pytest.raises(AssertionError, match="augmentation ran"):
         verify_window(FiniteWindow(0, 6, 0, 6, frozenset({(2, 3), (3, 3), (4, 3)})))
+
+
+def test_dense_window_pairs_by_augmenting_from_the_greedy_gaps(monkeypatch):
+    # a 60x60 window keeping each cell with probability 0.9 is one giant
+    # member component with a few greedy gaps; each is closed by one path
+    calls = _counting_augment(monkeypatch)
+    rng = random.Random(30)
+    points = frozenset((x, y) for x in range(60) for y in range(60) if rng.random() < 0.9)
+    assert verify_window(FiniteWindow(0, 59, 0, 59, points)).paired is True
+    assert calls and all(covered for _, covered in calls)
+
+
+def test_matcher_agrees_with_backtracking_on_blossoms(monkeypatch):
+    # both pairing questions on random king subgraphs, where the triangles of
+    # the king graph make the augmentation shrink blossoms
+    blossoms = _spy(monkeypatch, "_blossom", lambda args, inside: len(inside))
+    rng = random.Random(30)
+    shrunk = {"window": 0, "period": 0}
+    for _ in range(300):
+        w, h = rng.randint(3, 6), rng.randint(2, 4)
+        cells = [(x, y) for x in range(w) for y in range(h)]
+        members = {c for c in cells if rng.random() < rng.uniform(0.4, 0.9)}
+        required = {p for p in members if rng.random() < rng.choice((0.6, 1.0))}
+        before = len(blossoms)
+        got = saturates(sorted(members), required)
+        assert got == naive_saturates(members, required), (sorted(members), sorted(required))
+        shrunk["window"] += len(blossoms) > before
+
+        basis = LatticeBasis(*rng.choice(_BASES))
+        cells = basis.domain_cells()
+        p = PeriodicPattern.make(basis, rng.sample(cells, 2 * rng.randint(1, len(cells) // 2)))
+        before = len(blossoms)
+        matching, witnesses = _match_at_period(p)
+        assert (matching is not None) == (perfect_matchings(p) > 0), p
+        if matching is None:
+            assert witnesses and len(witnesses) % 2 == 0 and set(witnesses) <= p.base
+        else:
+            matching.validate()
+        shrunk["period"] += len(blossoms) > before
+    assert shrunk["window"] >= 50 and shrunk["period"] >= 10, shrunk
+    # a blossom is an odd cycle of blossoms: it adds an even number of vertices to its base's
+    assert all(size >= 2 and size % 2 == 0 for size in blossoms)
+
+
+# -- the matching rule ---------------------------------------------------------
+# Each residue still free, in sorted order, takes the first free member
+# residue reached by its king steps in row-major order (by dy, then dx), and
+# each pair steps along its lex-least king step.  Where that covers every
+# residue, it is the matching reported.
+
+_ROW_MAJOR = sorted(((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1) if dx or dy),
+                    key=lambda d: (d[1], d[0]))
+
+
+def _greedy_seed(pattern):
+    """The greedy matching as king steps, or None when it leaves a residue free."""
+    reduce = pattern.basis.reduce
+    lands = lambda r: [(d, reduce((r[0] + d[0], r[1] + d[1]))) for d in _ROW_MAJOR]
+    step = {}
+    for r in sorted(pattern.base):
+        if r in step:
+            continue
+        q = next((q for _, q in lands(r) if q != r and q in pattern.base and q not in step), None)
+        if q is None:
+            return None
+        d = min(d for d, t in lands(r) if t == q)
+        step[r], step[q] = d, (-d[0], -d[1])
+    return step
+
+
+def test_greedy_seed_is_the_matching_where_it_is_perfect():
+    patterns = [catalog("L1"), catalog("L2")]
+    for period in range(1, 6):
+        for n in range(2 ** period):
+            patterns.append(lx_pattern(XDescriptor.from_bits(format(n, f"0{period}b"))))
+    rng = random.Random(30)
+    for _ in range(300):
+        basis = LatticeBasis(*rng.choice(_BASES))
+        cells = basis.domain_cells()
+        patterns.append(
+            PeriodicPattern.make(basis, rng.sample(cells, 2 * rng.randint(1, len(cells) // 2)))
+        )
+    seen = {True: 0, False: 0}  # greedy perfect, among the paired patterns
+    for p in patterns:
+        matching, _ = _match_at_period(p)
+        if matching is None:
+            continue
+        seed = _greedy_seed(p)
+        seen[seed is not None] += 1
+        if seed is not None:
+            assert matching.step == seed, p
+    assert seen[True] >= 50 and seen[False] >= 10, seen
 
 
 def test_window_flags_planted_hole():
