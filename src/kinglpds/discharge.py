@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
 
-from .grid import Point, neighbors
+from .grid import D4, Point, apply, neighbors
 from .verify import Classification
 
 HALF = Fraction(1, 2)
@@ -282,30 +282,6 @@ def second_pipeline(cls: Classification) -> DischargeResult:
 # pipeline 2, round 3 case analysis
 # ---------------------------------------------------------------------------
 
-# Rotations/reflections as integer matrices ((a,b),(c,d)) acting on columns.
-def _dihedral_group():
-    out = []
-    for rot in [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, -1)), ((0, 1), (-1, 0))]:
-        out.append(rot)
-        (a, b), (c, d) = rot
-        out.append(((-a, -b), (c, d)))  # compose with x-mirror
-    return out
-
-
-_DIHEDRAL = _dihedral_group()
-
-
-def _apply(mat, p: Point) -> Point:
-    (a, b), (c, d) = mat
-    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
-
-
-def _invert(mat):
-    (a, b), (c, d) = mat
-    det = a * d - b * c  # always +-1 here
-    return ((d // det, -b // det), (-c // det, a // det))
-
-
 _CANONICAL_SHAPE = frozenset({(0, 1), (1, -1), (-1, -1)})
 
 # (partner offset of the (1,-1) dominator, partner offset of the (-1,-1) one)
@@ -341,17 +317,17 @@ def _classify_deficient(cls: Classification, u0: Point) -> tuple[str, Point, Fra
         raise DischargeError(f"unclassifiable deficient vertex {u0}: dominators {sorted(doms)}")
 
     matches = []
-    for mat in _DIHEDRAL:
-        if frozenset(_apply(mat, d) for d in rel) != _CANONICAL_SHAPE:
+    for mat in D4:
+        if frozenset(apply(mat, d) for d in rel) != _CANONICAL_SHAPE:
             continue
-        inv = _invert(mat)
-        world = {c: (u0[0] + q[0], u0[1] + q[1]) for c in _CANONICAL_SHAPE for q in [_apply(inv, c)]}
-        m2 = _apply(mat, _rel(u0, cls.matching.partner(world[(1, -1)])))
-        m3 = _apply(mat, _rel(u0, cls.matching.partner(world[(-1, -1)])))
+        inv = tuple(zip(*mat))  # orthogonal: the inverse is the transpose
+        world = {c: (u0[0] + q[0], u0[1] + q[1]) for c in _CANONICAL_SHAPE for q in [apply(inv, c)]}
+        m2 = apply(mat, _rel(u0, cls.matching.partner(world[(1, -1)])))
+        m3 = apply(mat, _rel(u0, cls.matching.partner(world[(-1, -1)])))
         case = _CASE_TEMPLATES.get((m2, m3))
         if case is None:
             continue
-        key = (case, _apply(mat, _rel(u0, world[(0, 1)])), m2, m3)
+        key = (case, apply(mat, _rel(u0, world[(0, 1)])), m2, m3)
         matches.append((key, case, mat, inv, world))
     if not matches:
         raise DischargeError(f"unclassifiable deficient vertex {u0}: no case template matches")
@@ -361,7 +337,7 @@ def _classify_deficient(cls: Classification, u0: Point) -> tuple[str, Point, Fra
     if case in ("3.1", "3.2"):
         raise DischargeError(f"deficient vertex {u0} in provably non-deficient case {case}")
     if case == "3.3":
-        q = _apply(inv, (0, -1))
+        q = apply(inv, (0, -1))
         return "3.3", (u0[0] + q[0], u0[1] + q[1]), Fraction(1)
     if case.startswith("3.4"):
         rich = world[(-1, -1)] if case.endswith("left") else world[(1, -1)]
@@ -370,7 +346,7 @@ def _classify_deficient(cls: Classification, u0: Point) -> tuple[str, Point, Fra
     # under u0; take the lexicographically least such member.
     cands = []
     for c in ((-1, -3), (0, -3), (1, -3)):
-        q = _apply(inv, c)
+        q = apply(inv, c)
         w = (u0[0] + q[0], u0[1] + q[1])
         if member(w):
             cands.append((w, c))

@@ -13,7 +13,8 @@ Every checker evaluates these slots, and ``locks`` compiles them into the
 masks both searches prune on; a domain only says where ``cell + BLOCK[k]``
 lands.  Both exhaustive engines (the lattice search and the lemma engine)
 number their cells in the order they visit them, so a lock is decided at its
-top bit, and ``file_locks`` files every lock of both there.
+top bit, and ``file_locks`` files every lock of both there.  The symmetries
+of the grid that fix the origin are written once too, as the matrices ``D4``.
 """
 
 from __future__ import annotations
@@ -44,6 +45,27 @@ def closed_neighborhood(p: Point) -> set[Point]:
 
 def common_neighbors(p: Point, q: Point) -> set[Point]:
     return neighbors(p) & neighbors(q)
+
+
+# ---------------------------------------------------------------------------
+# symmetry
+# ---------------------------------------------------------------------------
+
+# The 8 symmetries of the grid that fix the origin, as integer matrices
+# ((a, b), (c, d)) acting on columns: the four rotations, each followed by its
+# composition with the x-mirror.  Each is orthogonal, so its inverse is its
+# transpose.  D4[2] is the quarter turn counterclockwise.
+D4 = (
+    ((1, 0), (0, 1)), ((-1, 0), (0, 1)),
+    ((0, -1), (1, 0)), ((0, 1), (1, 0)),
+    ((-1, 0), (0, -1)), ((1, 0), (0, -1)),
+    ((0, 1), (-1, 0)), ((0, -1), (-1, 0)),
+)
+
+
+def apply(mat, p: Point) -> Point:
+    (a, b), (c, d) = mat
+    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,8 @@ from typing import Callable
 
 from .discharge import HALF, pendant_rate
 from .grid import (
-    BLOCK, OPEN, Point, closed_neighborhood, common_neighbors, file_locks, locks, neighbors
+    BLOCK, D4, OPEN, Point, apply, closed_neighborhood, common_neighbors, file_locks, locks,
+    neighbors,
 )
 from .pattern import FiniteWindow, serialize_window
 from .verify import saturates
@@ -409,10 +410,6 @@ def check_r_claims(node_budget: int | None = None) -> list[LemmaVerdict]:
 # adjacent-members rate sum
 # ---------------------------------------------------------------------------
 
-def _rotate90(p: Point) -> Point:
-    return (-p[1], p[0])
-
-
 def _adjacent_sum_case(v1: Point, m1: Point, v2: Point, m2: Point) -> tuple:
     # decide claim-relevant cells first: pendants and intervals of both
     # members (in-branches prune instantly there), then the cells that fix
@@ -508,12 +505,11 @@ def check_adjacent_sum(node_budget: int | None = None) -> LemmaVerdict:
 
 def _adjacent_sum_cases() -> list[tuple]:
     cases = []
-    for rotate in (False, True):
-        tf = _rotate90 if rotate else (lambda p: p)
-        v1, v2 = tf((1, 0)), tf((-1, 0))
+    for mat in (D4[0], D4[2]):  # the identity and the quarter turn
+        v1, v2 = apply(mat, (1, 0)), apply(mat, (-1, 0))
         for m1_raw in ((2, 1), (2, -1)):
             for m2_raw in ((-2, 1), (-2, -1)):
-                cases.append(_adjacent_sum_case(v1, tf(m1_raw), v2, tf(m2_raw)))
+                cases.append(_adjacent_sum_case(v1, apply(mat, m1_raw), v2, apply(mat, m2_raw)))
     return cases
 
 

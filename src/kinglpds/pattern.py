@@ -458,6 +458,7 @@ def catalog(
 # ---------------------------------------------------------------------------
 
 _POINT_RE = re.compile(r"\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)")
+_BASE_RE = re.compile(r"base((?:\s*" + _POINT_RE.pattern + r")*)")  # the keyword, then points only
 
 
 def serialize_pattern(pattern: PeriodicPattern) -> str:
@@ -488,10 +489,12 @@ def _parse_pattern_lines(lines: list[str]) -> PeriodicPattern:
     if not m:
         raise PatternFormatError(f"bad lattice line: {lines[0]!r}")
     ux, uy, vx, vy = (int(g) for g in m.groups())
-    base_line = lines[1].strip()
-    if not base_line.startswith("base"):
+    m = _BASE_RE.fullmatch(lines[1].strip())
+    if not m:
         raise PatternFormatError(f"bad base line: {lines[1]!r}")
-    pts = [(int(a), int(b)) for a, b in _POINT_RE.findall(base_line[4:])]
+    if len(lines) > 2:
+        raise PatternFormatError(f"unexpected line after the base line: {lines[2]!r}")
+    pts = [(int(a), int(b)) for a, b in _POINT_RE.findall(m.group(1))]
     try:
         basis = LatticeBasis((ux, uy), (vx, vy))
         return PeriodicPattern.make(basis, pts)

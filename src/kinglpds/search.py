@@ -16,10 +16,9 @@ asks for a perfect matching.
 Residue 0 is forced in, so every translate of a pattern that holds residue 0
 is a leaf of its own; a leaf is kept only when its member mask is the least
 of those translates, read off a table of translations, so each translation
-class is kept once.  Its members are then paired by backtracking on masks of
-their ``OPEN`` neighbours, which is the loop-free quotient of the pattern at
-its own period (no lattice refinement), so search answers stay directly
-comparable with a brute-force enumeration of subsets.
+class is kept once.  Its members are then paired by ``verify``'s matcher at
+the lattice's own period only (no lattice refinement), so search answers
+stay directly comparable with a brute-force enumeration of subsets.
 
 Odd cardinalities are skipped outright: members are perfectly matched inside
 the fundamental domain, so their count per domain is even.
@@ -36,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .grid import OPEN, Point, file_locks, locks, mask
+from .grid import OPEN, Point, file_locks, locks
 from .pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -44,6 +43,7 @@ from .pattern import (
     torus_landing,
     translation_canonical,
 )
+from .verify import _match_at_period
 
 MAX_DOMAIN = 64
 
@@ -124,7 +124,6 @@ class _Tables(NamedTuple):
     domain: list[Point]  # the residue at each position
     lock_dl: list[list[int]]  # locks filed at their highest position
     need: list[int]  # members still needed at positions >= pos, a lower bound
-    adj: list[int]  # mask of the OPEN landings of each position, itself excluded
     shift: list[list[int]]  # shift[t][i]: where i lands when t is moved onto 0
 
 
@@ -138,8 +137,8 @@ def _tables(basis: LatticeBasis) -> _Tables:
     ranked = []
     for order in _orders(cells, land):
         rows = _relabel(order, land)
-        ranked.append((order, rows, locks(enumerate(rows), range(n))))
-    order, rows, deps = min(ranked, key=lambda r: _span(r[2]))
+        ranked.append((order, locks(enumerate(rows), range(n))))
+    order, deps = min(ranked, key=lambda r: _span(r[1]))
     domain = [cells[i] for i in order]
 
     # a lock is decided at its highest residue, where "no member" is "all out"
@@ -155,27 +154,7 @@ def _tables(basis: LatticeBasis) -> _Tables:
         [position[basis.reduce((x - tx, y - ty))] for x, y in domain]
         for tx, ty in domain
     ]
-    adj = [mask(row, OPEN) & ~(1 << pos) for pos, row in enumerate(rows)]
-    return _Tables(domain, lock_dl, need, adj, shift)
-
-
-def _paired(adj: list[int], members: int) -> bool:
-    """Whether ``members`` has a perfect matching along ``adj``.
-
-    The lowest member is matched to each neighbour in turn, then the rest
-    recursively: exact, and at most half as deep as the member count.
-    """
-    if not members:
-        return True
-    low = members & -members
-    rest = members ^ low
-    mates = adj[low.bit_length() - 1] & rest
-    while mates:
-        mate = mates & -mates
-        if _paired(adj, rest ^ mate):
-            return True
-        mates ^= mate
-    return False
+    return _Tables(domain, lock_dl, need, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +171,10 @@ class _KSearch:
     k: int
     limit: float  # nodes this k may still visit, math.inf without a budget
     nodes: int = 0
-    solutions: list[tuple] = field(default_factory=list)
+    solutions: list[PeriodicPattern] = field(default_factory=list)
 
     def __post_init__(self):
-        self.domain, self.lock_dl, self.need, self.adj, self.shift = _tables(self.basis)
+        self.domain, self.lock_dl, self.need, self.shift = _tables(self.basis)
         self.n = len(self.domain)
 
     def _leaf(self, in_mask: int) -> None:
@@ -209,8 +188,9 @@ class _KSearch:
                 moved |= 1 << row[i]
             if moved < in_mask:
                 return
-        if _paired(self.adj, in_mask):
-            self.solutions.append(tuple(self.domain[i] for i in members))
+        pattern = PeriodicPattern(self.basis, frozenset(self.domain[i] for i in members))
+        if _match_at_period(pattern)[0] is not None:
+            self.solutions.append(pattern)
 
     def _dfs(self, pos: int, in_mask: int, out_mask: int, count: int) -> None:
         self.nodes += 1
@@ -241,12 +221,10 @@ class _KSearch:
 # driver
 # ---------------------------------------------------------------------------
 
-def _collect_optima(
-    basis: LatticeBasis, bases: list[tuple]
-) -> tuple[PeriodicPattern, ...]:
+def _collect_optima(patterns: list[PeriodicPattern]) -> tuple[PeriodicPattern, ...]:
     canon: dict[str, PeriodicPattern] = {}
-    for base in bases:
-        tc = translation_canonical(PeriodicPattern.make(basis, base))
+    for pattern in patterns:
+        tc = translation_canonical(pattern)
         canon[serialize_pattern(tc)] = tc
     return tuple(canon[key] for key in sorted(canon))
 
@@ -285,7 +263,7 @@ def minimum_lpds(config: SearchConfig) -> SearchResult:
             )
         nodes_total += search.nodes
         if search.solutions:
-            optima = _collect_optima(basis, search.solutions)
+            optima = _collect_optima(search.solutions)
             return SearchResult(
                 "optimumFound",
                 k,

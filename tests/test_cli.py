@@ -494,6 +494,19 @@ def test_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "base",
+    ["base (0,0) junk (1,1)", "basement (0,0) (1,1)", "base (0,0) (1,1) (", "base (0,0)\nbase (2,2)"],
+)
+def test_malformed_pattern_text_exits_2(capsys, tmp_path, base):
+    src = tmp_path / "p.txt"
+    src.write_text(f"lattice u=(4,0) v=(0,4)\n{base}\n")
+    code, out, err = run(capsys, "verify", str(src))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_bad_window_spec(capsys):
     code, _, err = run(
         capsys, "render", "catalog:L1", "--window", "x=[bogus] y=[0..2]"

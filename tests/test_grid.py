@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from kinglpds.grid import (
     BLOCK,
+    D4,
     OPEN,
     SEPARATORS,
     chebyshev,
     closed_neighborhood,
+    apply,
     common_neighbors,
     neighbors,
 )
@@ -105,3 +107,15 @@ def test_neighborhood_translation_invariant(p):
 def test_common_neighbors_symmetric(p, q):
     assert common_neighbors(p, q) == common_neighbors(q, p)
     assert set(common_neighbors(p, q)) == set(neighbors(p)) & set(neighbors(q))
+
+
+def test_d4_is_the_symmetry_group_of_the_neighbourhood():
+    step = (2, 1)  # fixed by no symmetry but the identity
+    assert len({apply(mat, step) for mat in D4}) == 8
+    ring = neighbors((0, 0))
+    for mat in D4:
+        assert {apply(mat, d) for d in ring} == ring
+        inverse = tuple(zip(*mat))  # orthogonal: the transpose undoes it
+        assert apply(inverse, apply(mat, step)) == step
+        assert {apply(mat, apply(other, step)) for other in D4} == {apply(m, step) for m in D4}
+    assert apply(D4[2], (1, 0)) == (0, 1)  # the quarter turn, counterclockwise

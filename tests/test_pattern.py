@@ -1,6 +1,9 @@
 """Lattice bases, periodic patterns, catalog constructions, text formats."""
 
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -25,6 +28,8 @@ from kinglpds.pattern import (
     window_count,
     window_density,
 )
+
+_REFCHECK = Path(__file__).resolve().parent.parent / "bench" / "refcheck.py"
 
 nz = st.integers(min_value=-6, max_value=6)
 vec = st.tuples(nz, nz)
@@ -260,6 +265,38 @@ def test_window_round_trip():
     assert isinstance(back, FiniteWindow)
     assert back == w
     assert serialize_window(back) == text
+
+
+MALFORMED_BASE_LINES = [
+    "base (0,0) junk (1,1)",
+    "basement (0,0) (1,1)",
+    "base (0,0) (1,1) (",
+    "base (0,0)\nbase (2,2)",  # a second base line was once dropped silently
+]
+
+
+@pytest.mark.parametrize("base", MALFORMED_BASE_LINES)
+def test_parse_rejects_malformed_base_lines(base):
+    with pytest.raises(PatternFormatError):
+        parse_text(f"lattice u=(4,0) v=(0,4)\n{base}\n")
+
+
+def test_parse_accepts_a_bare_or_loosely_spaced_base_line():
+    empty = parse_text("lattice u=(4,0) v=(0,4)\nbase\n")
+    assert empty.base == frozenset()
+    assert parse_text(serialize_pattern(empty)) == empty
+    loose = parse_text("\nlattice u=(4,0) v=(0,4)\n\n  base ( 1 , -1 )(2,2)  \n\n")
+    assert loose.base == frozenset({(1, 3), (2, 2)})
+
+
+def test_parse_reads_the_benchmark_reference_format(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_refcheck", _REFCHECK)
+    rc = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, rc)  # its dataclasses look themselves up
+    spec.loader.exec_module(rc)
+    for name in ("L1", "L2"):
+        p = catalog(name)
+        assert parse_text(rc.format_pattern(rc.parse_pattern(serialize_pattern(p)))) == p
 
 
 def test_parse_rejects_garbage():

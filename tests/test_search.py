@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 import kinglpds.search
-from kinglpds.grid import neighbors
+from kinglpds.grid import D4, apply, neighbors
 from kinglpds.pattern import (
     LatticeBasis,
     PeriodicPattern,
@@ -15,7 +15,7 @@ from kinglpds.pattern import (
     serialize_pattern,
     translation_canonical,
 )
-from kinglpds.search import SearchConfig, _packing, _paired, _tables, minimum_lpds
+from kinglpds.search import SearchConfig, _packing, _tables, minimum_lpds
 from kinglpds.verify import _match_at_period, verify_lpds
 from naive_lpds import brute_force_oracle, naive_check
 
@@ -246,22 +246,43 @@ def _count_matchings(basis, members):
 )
 def test_mask_pairing_matches_both_oracles(u, v):
     basis = LatticeBasis(u, v)
-    tables = _tables(basis)
-    n = len(tables.domain)
+    domain = _tables(basis).domain
+    n = len(domain)
     rng = random.Random(f"{u}{v}")
     outcomes, odd_cycles = set(), 0
     for _ in range(60):
         positions = rng.sample(range(n), 2 * rng.randrange(1, min(n, 12) // 2 + 1))
-        members = [tables.domain[i] for i in positions]
-        paired = _paired(tables.adj, sum(1 << i for i in positions))
-        p = PeriodicPattern.make(basis, members)
-        assert paired == (_match_at_period(p)[0] is not None)
+        members = [domain[i] for i in positions]
+        paired = _match_at_period(PeriodicPattern.make(basis, members))[0] is not None
         count, has_triangle = _count_matchings(basis, members)
         assert paired == (count > 0)
         outcomes.add(paired)
         odd_cycles += has_triangle
     assert odd_cycles
     assert outcomes == {True, False} or n <= 4
+
+
+# every leaf that survives the translate dedup asks the period matcher once,
+# on a pattern of the search's own lattice; only the paired ones are optima
+@pytest.mark.parametrize(
+    "u, v, asked, paired",
+    [((4, 0), (0, 4), 29, 25), ((6, 0), (0, 4), 42, 25)],
+)
+def test_leaf_asks_the_period_matcher(monkeypatch, u, v, asked, paired):
+    basis = LatticeBasis(u, v)
+    answers = []
+    real = kinglpds.search._match_at_period
+
+    def spy(p):
+        assert p.basis == basis
+        out = real(p)
+        answers.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(kinglpds.search, "_match_at_period", spy)
+    res = minimum_lpds(SearchConfig(basis))
+    assert (len(answers), sum(answers)) == (asked, paired)
+    assert len(res.optima) == paired
 
 
 def test_one_canonicalization_per_optimum(monkeypatch):
@@ -278,12 +299,13 @@ def test_one_canonicalization_per_optimum(monkeypatch):
 
 # -- transposing the lattice transposes the search ----------------------------
 
+def _image(mat, p):
+    basis = LatticeBasis(apply(mat, p.basis.u), apply(mat, p.basis.v))
+    return PeriodicPattern.make(basis, [apply(mat, q) for q in p.base])
+
+
 def _transposed(p):
-    u, v = p.basis.u, p.basis.v
-    flipped = PeriodicPattern.make(
-        LatticeBasis(u[::-1], v[::-1]), [(y, x) for x, y in p.base]
-    )
-    return serialize_pattern(translation_canonical(flipped))
+    return serialize_pattern(translation_canonical(_image(((0, 1), (1, 0)), p)))
 
 
 def test_transposed_lattice_gives_transposed_optima():
@@ -296,3 +318,35 @@ def test_transposed_lattice_gives_transposed_optima():
     assert wide.nodes_explored == tall.nodes_explored == 587910
     l2 = serialize_pattern(translation_canonical(catalog("L2")))
     assert l2 in _forms(wide)
+
+
+# -- a symmetry of the grid, or another basis, carries the search along --------
+
+METAMORPHIC_LATTICES = [((4, 0), (1, 6)), ((8, 0), (1, 2)), ((2, 1), (-3, 3)), ((6, 0), (0, 3))]
+
+
+def _canonical_forms(patterns):
+    return sorted(serialize_pattern(translation_canonical(p)) for p in patterns)
+
+
+# the node counts differ across images (the visiting order follows the
+# coordinates), so only the optima are compared
+@pytest.mark.parametrize("u, v", METAMORPHIC_LATTICES)
+def test_grid_symmetry_maps_optima_to_optima(u, v):
+    res = minimum_lpds(SearchConfig(LatticeBasis(u, v)))
+    assert res.status == "optimumFound"
+    for mat in D4:
+        image = minimum_lpds(SearchConfig(LatticeBasis(apply(mat, u), apply(mat, v))))
+        assert (image.status, image.min_cardinality) == (res.status, res.min_cardinality)
+        assert _canonical_forms(image.optima) == _canonical_forms(_image(mat, p) for p in res.optima)
+
+
+@pytest.mark.parametrize("u, v", METAMORPHIC_LATTICES)
+def test_another_basis_gives_the_same_search(u, v):
+    res = minimum_lpds(SearchConfig(LatticeBasis(u, v)))
+    for j in (-1, 0, 1):
+        w = (v[0] + j * u[0], v[1] + j * u[1])
+        for a, b in ((u, w), (w, u), ((-u[0], -u[1]), w), ((-w[0], -w[1]), u)):
+            other = minimum_lpds(SearchConfig(LatticeBasis(a, b)))
+            assert other.summary_line() == res.summary_line()
+            assert _forms(other) == _forms(res)
